@@ -34,7 +34,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_graph(path: str):
     text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         return graph_from_json(json.loads(text))
     return parse_graph(text)
 

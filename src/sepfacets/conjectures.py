@@ -62,23 +62,18 @@ def _finish(report: ConjectureReport, t0: float) -> ConjectureReport:
     return report
 
 
-def _same_parity_triples(total: int):
-    """Ordered triples x1 >= x2 >= x3 >= 1 of one parity summing to total."""
-    for x3 in range(1, total // 3 + 1):
-        for x2 in range(x3, (total - x3) // 2 + 1):
-            x1 = total - x2 - x3
-            if x1 < x2:
-                continue
-            if x1 % 2 == x2 % 2 == x3 % 2:
-                yield (x1, x2, x3)
-
-
 def _all_triples(total: int):
+    """Ordered triples x1 >= x2 >= x3 >= 1 summing to total."""
     for x3 in range(1, total // 3 + 1):
         for x2 in range(x3, (total - x3) // 2 + 1):
             x1 = total - x2 - x3
             if x1 >= x2:
                 yield (x1, x2, x3)
+
+
+def _same_parity_triples(total: int):
+    """The triples of _all_triples(total) whose entries share one parity."""
+    return (t for t in _all_triples(total) if t[0] % 2 == t[1] % 2 == t[2] % 2)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +409,8 @@ def check_identities(k_max: int = 10000) -> ConjectureReport:
     Everything is verified over big integers; no division is performed.
     """
     t0 = time.time()
+    if k_max < 1:
+        raise ValueError(f"need k_max >= 1, got {k_max}")
     rep = ConjectureReport("identities", {"k_max": k_max}, "verified", "0")
     c = _central_binomials(k_max + 2)
 
@@ -463,8 +460,7 @@ def check_identities(k_max: int = 10000) -> ConjectureReport:
         if 2 * m_any(2 * k - 1) != m_any(2 * k):
             return fail(f"k={k}: M(2k-1) vs M(2k)")
 
-    n_cap = min(2 * k_max - 1, k_max)
-    for n in range(3, n_cap + 1):
+    for n in range(3, k_max + 1):
         lhs, rhs = 2 * m_any(n), m_any(n + 1)
         if n % 2 == 1:
             if lhs != rhs:
@@ -472,6 +468,6 @@ def check_identities(k_max: int = 10000) -> ConjectureReport:
         elif lhs >= rhs:
             return fail(f"n={n}: doubling is not strict at even n")
 
-    rep.max = str(m_any(n_cap))
-    rep.params["doubling_n_max"] = n_cap
+    rep.max = str(m_any(k_max))
+    rep.params["doubling_n_max"] = k_max
     return _finish(rep, t0)

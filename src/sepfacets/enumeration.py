@@ -124,6 +124,16 @@ def canonical_graph(g: Graph) -> Graph:
     return Graph(n, tuple(edges))
 
 
+def _encoding(g: Graph) -> CanonicalForm:
+    """The adjacency encoding of g under its own labelling, packed as in
+    canonical_form.  On a canonical_graph result this is its canonical
+    form, without a second search."""
+    rows = [0] * max(g.n - 1, 0)
+    for q, p in g.edges:
+        rows[p - 1] |= 1 << (p - 1 - q)
+    return (g.n, tuple(rows))
+
+
 def relabel(g: Graph, perm: list[int]) -> Graph:
     """Apply the vertex relabeling v -> perm[v]."""
     return Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
@@ -149,7 +159,7 @@ def trees(n: int) -> tuple[Graph, ...]:
             for v in range(t.n):
                 bigger = Graph(k, t.edges + ((v, k - 1),))
                 cg = canonical_graph(bigger)
-                seen.setdefault(canonical_form(cg), cg)
+                seen.setdefault(_encoding(cg), cg)
         _TREES[k] = tuple(seen[key] for key in sorted(seen))
     return _TREES[n]
 
@@ -188,7 +198,7 @@ def _level(n: int, e: int) -> tuple[Graph, ...]:
                         continue
                     bigger = Graph(n, g.edges + ((u, v),))
                     cg = canonical_graph(bigger)
-                    seen.setdefault(canonical_form(cg), cg)
+                    seen.setdefault(_encoding(cg), cg)
         _LEVELS[key] = tuple(seen[k] for k in sorted(seen))
     return _LEVELS[key]
 

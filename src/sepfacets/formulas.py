@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import add, mul
 
 from .graph import (
     Graph,
@@ -107,6 +108,40 @@ def double_cycle_max(n: int) -> int:
     return k * k * binom(k - 1, (k - 1) // 2) ** 2
 
 
+# Pascal rows 0..len-1, built by addition only and grown on demand.  Rows
+# up to PASCAL_ROWS_MAX cover every length the acceptance sweeps reach
+# (triples summing to 535) at about 14 MB when full; longer rows are never
+# stored, so the table stays bounded whatever lengths callers pass.
+PASCAL_ROWS_MAX = 600
+_PASCAL: list[list[int]] = [[1]]
+
+
+def _binom_slice(m: int, start: int, width: int) -> list[int]:
+    """binom(m, start + i) for i = 0..width-1, with start + width - 1 <= m."""
+    if m <= PASCAL_ROWS_MAX:
+        while len(_PASCAL) <= m:
+            prev = _PASCAL[-1]
+            _PASCAL.append([1, *map(add, prev, prev[1:]), 1])
+        return _PASCAL[m][start:start + width]
+    # past the table: one comb(), then exact multiplicative steps
+    out = [math.comb(m, start)]
+    for b in range(start, start + width - 1):
+        out.append(out[-1] * (m - b) // (b + 1))
+    return out
+
+
+def _same_parity(lengths) -> int:
+    """same_parity_count without validation: lengths are >= 1, of one
+    parity, in any order."""
+    mt = min(lengths)
+    terms = last = None
+    for mk in lengths:
+        if mk != last:  # equal neighbours share one slice
+            row, last = _binom_slice(mk, (mk - mt) // 2, mt + 1), mk
+        terms = row if terms is None else map(mul, terms, row)
+    return sum(terms)
+
+
 def same_parity_count(lengths) -> int:
     """Facets of parallel paths whose lengths all share one parity.
 
@@ -119,24 +154,7 @@ def same_parity_count(lengths) -> int:
         raise ValueError(
             f"{pv.lengths} mixes parities; use parallel_paths_count instead"
         )
-    ms = pv.lengths
-    mt = ms[-1]
-    # factor for path k at step j is binom(mk, (mk - mt)/2 + j); step all of
-    # them multiplicatively so big sweeps avoid one comb() call per term
-    starts = [(mk - mt) // 2 for mk in ms]
-    cur = [math.comb(mk, s) for mk, s in zip(ms, starts)]
-    total = 0
-    for j in range(mt + 1):
-        term = 1
-        for c in cur:
-            term *= c
-        total += term
-        if j == mt:
-            break
-        for i, (mk, s) in enumerate(zip(ms, starts)):
-            b = s + j
-            cur[i] = cur[i] * (mk - b) // (b + 1) if b < mk else 0
-    return total
+    return _same_parity(pv.lengths)
 
 
 def theta_count(m: int, t: int) -> int:
@@ -149,7 +167,7 @@ def theta_count(m: int, t: int) -> int:
 def parallel_paths_count(lengths) -> int:
     """Facets of parallel paths of arbitrary lengths (the general dispatch).
 
-    Same-parity vectors go straight to same_parity_count.  Mixed vectors
+    Same-parity vectors go straight to the same-parity sum.  Mixed vectors
     split by which parity class donates the flat edge: either one edge of
     every even path goes flat (contract it, leaving an all-odd vector), or
     one edge of every odd path does.  Unit odd paths contract to nothing,
@@ -161,11 +179,11 @@ def parallel_paths_count(lengths) -> int:
     evens = [x for x in pv if x % 2 == 0]
     odds = [x for x in pv if x % 2 == 1]
     if not evens or not odds:
-        return same_parity_count(pv)
-    total = _prod(evens) * same_parity_count([x - 1 for x in evens] + odds)
+        return _same_parity(pv.lengths)
+    total = _prod(evens) * _same_parity([x - 1 for x in evens] + odds)
     big_odds = [x for x in odds if x > 1]
     if len(big_odds) == len(odds):
-        total += _prod(odds) * same_parity_count(evens + [x - 1 for x in odds])
+        total += _prod(odds) * _same_parity(evens + [x - 1 for x in odds])
     else:
         cycles = _prod(cycle_count(x) for x in evens)
         cycles *= _prod(cycle_count(x - 1) for x in big_odds)

@@ -23,10 +23,11 @@ class MultigraphError(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed graph text; carries the offending 1-based line number."""
+    """Malformed graph input; carries the offending 1-based line number for
+    edge-list text and None for JSON."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -393,5 +394,21 @@ def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges]}
 
 
-def graph_from_json(obj: dict) -> Graph:
-    return Graph(int(obj["n"]), tuple((int(u), int(v)) for u, v in obj["edges"]))
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def graph_from_json(obj) -> Graph:
+    """Inverse of graph_to_json; a malformed value raises ParseError naming
+    the bad field."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"JSON graph must be an object, got {type(obj).__name__}")
+    if not _is_int(obj.get("n")):
+        raise ParseError("JSON graph needs an integer field 'n'")
+    edges = obj.get("edges")
+    if not isinstance(edges, (list, tuple)):
+        raise ParseError("JSON graph needs a field 'edges' holding a list of [u, v] pairs")
+    for i, e in enumerate(edges):
+        if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_int, e))):
+            raise ParseError(f"JSON field 'edges[{i}]' must be a pair of integers, got {e!r:.40}")
+    return Graph(obj["n"], tuple(map(tuple, edges)))

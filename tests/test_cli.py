@@ -32,6 +32,27 @@ def test_count_parse_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"n": 3}', "'edges'"),
+        ('{"n": 3, "edges": [[0]]}', "edges[0]"),
+        ("[]", "object"),
+        ('{"n": "3", "edges": []}', "'n'"),
+        ('{"n": 2.5, "edges": [[0, 1]]}', "'n'"),
+        ('{"n": 3, "edges": [[0, true]]}', "edges[0]"),
+    ],
+)
+def test_count_json_shape_errors(tmp_path, capsys, text, field):
+    f = tmp_path / "g.json"
+    f.write_text(text)
+    assert main(["count", "--edges", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert field in err
+    assert "Traceback" not in err
+
+
 def test_formula_commands(capsys):
     assert main(["formula", "windmill", "7", "3"]) == 0
     assert capsys.readouterr().out.strip() == "216"

@@ -139,6 +139,9 @@ def test_identities_small():
     rep = cj.check_identities(500)
     assert rep.status == "verified"
     assert rep.params["doubling_n_max"] == 500
+    assert cj.check_identities(1).params["doubling_n_max"] == 1
+    with pytest.raises(ValueError):
+        cj.check_identities(0)
 
 
 def test_identities_central_binomials():

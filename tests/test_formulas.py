@@ -1,8 +1,10 @@
+import math
 from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from sepfacets import formulas
 from sepfacets.facets import facet_count
 from sepfacets.formulas import (
     FamilySpec,
@@ -88,6 +90,71 @@ def test_same_parity_values():
     assert same_parity_count([7, 1, 1]) == 70
     with pytest.raises(ValueError):
         same_parity_count([3, 2, 1])
+
+
+def _reference_f(lengths):
+    """The paper's F(m1, ..., mt) = sum_j prod_k binom(mk, (mk - mt)/2 + j),
+    straight from math.comb; a zero length is a contracted path."""
+    mt = min(lengths)
+    return sum(
+        math.prod(math.comb(mk, (mk - mt) // 2 + j) for mk in lengths)
+        for j in range(mt + 1)
+    )
+
+
+def _reference_paths(lengths):
+    """Mixed parities: one edge of every even path, or of every odd path,
+    goes flat and is contracted."""
+    evens = [x for x in lengths if x % 2 == 0]
+    odds = [x for x in lengths if x % 2 == 1]
+    if not evens or not odds:
+        return _reference_f(lengths)
+    flat_even = math.prod(evens) * _reference_f([x - 1 for x in evens] + odds)
+    flat_odd = math.prod(odds) * _reference_f(evens + [x - 1 for x in odds])
+    return flat_even + flat_odd
+
+
+def _triples(total):
+    return [
+        (total - b - c, b, c)
+        for c in range(1, total // 3 + 1)
+        for b in range(c, (total - c) // 2 + 1)
+        if total - b - c >= b
+    ]
+
+
+def test_path_kernel_matches_reference_on_small_triples():
+    for total in range(11, 42):
+        for t in _triples(total):
+            want = _reference_paths(t)
+            assert parallel_paths_count(t) == want, t
+            if t[0] % 2 == t[1] % 2 == t[2] % 2:
+                assert same_parity_count(t) == want, t
+
+
+def test_path_kernel_matches_reference_across_the_row_cap():
+    cap = formulas.PASCAL_ROWS_MAX
+    for t in [
+        (cap + 1, cap - 1, 2),
+        (cap + 3, cap + 1, 4),
+        (cap, cap, 1),
+        (cap + 1, cap, 3),
+        (cap + 2, 2, 2),
+    ]:
+        assert parallel_paths_count(t) == _reference_paths(t), t
+    for t in [(cap + 2, cap, 2), (cap + 1, cap - 1, 3), (cap + 1, cap + 1, cap + 1)]:
+        assert same_parity_count(t) == _reference_f(t), t
+    for m in (1, 2, 7, cap, cap + 1):
+        for t in (1, 2, 3, 4):
+            assert theta_count(m, t) == same_parity_count([m] * t), (m, t)
+
+
+def test_pascal_table_stays_bounded():
+    cap = formulas.PASCAL_ROWS_MAX
+    parallel_paths_count((cap, cap - 2, 2))  # fills the table up to the cap
+    t = (5001, 4999, 1)
+    assert parallel_paths_count(t) == _reference_paths(t)
+    assert len(formulas._PASCAL) == cap + 1
 
 
 def test_theta_count_values():
