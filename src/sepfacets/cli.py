@@ -23,6 +23,7 @@ from .graph import MultigraphError, ParseError, graph_from_json, graph_to_json, 
 from .sampler import ChainConfig, figure_csv, records_jsonl, run_chain
 
 GUARD_ENV = "SEP_FACETS_GUARD"
+GUARD_CEILING = 8  # what --no-guard allows
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,10 +42,16 @@ def _load_graph(path: str):
 
 def _effective_guard(no_guard: bool) -> int:
     if no_guard:
-        return 8
+        return GUARD_CEILING
     env = os.environ.get(GUARD_ENV)
     if env:
-        return int(env)
+        try:
+            guard = int(env)
+        except ValueError:
+            guard = 0
+        if not 1 <= guard <= GUARD_CEILING:
+            raise SystemExit2(f"{GUARD_ENV} must be an integer from 1 to {GUARD_CEILING}, got {env!r}")
+        return guard
     return EXHAUSTIVE_GUARD
 
 
@@ -117,6 +124,9 @@ def _build_parser() -> _Parser:
 
 def _run_verify(args) -> int:
     guard = _effective_guard(args.no_guard)
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise SystemExit2(f"--jobs must be from 1 to {cpus} (the CPU count), got {args.jobs}")
     check = args.check
     reports = []
     if check == "identities":
@@ -200,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
             Path(args.out).write_text(text)
             return 0
         if args.command == "enumerate":
-            guard = 8 if args.no_guard else _effective_guard(False)
+            guard = _effective_guard(args.no_guard)
             lines = [
                 json.dumps(graph_to_json(g))
                 for g in connected_graphs(args.n, args.edges, guard=guard)

@@ -5,12 +5,20 @@ labeling f such that every edge uv has |f(u) - f(v)| <= 1 and the
 unit-difference edges E_f = {uv : |f(u) - f(v)| = 1} form a spanning
 connected subgraph.  Labelings are normalized so their minimum value is 0.
 
-Two independent counting paths are provided and must always agree:
+There are three paths to these labelings; the two counters never share
+search code and must always agree:
 
-* :func:`facet_count` enumerates the labelings directly by depth-first
-  assignment along a breadth-first vertex order rooted at vertex 0,
-  pruning branches whose unit-difference components can no longer be
-  reconnected by the unassigned vertices.
+* :func:`facet_count` counts the labelings without listing them, by a
+  frontier dynamic program over a greedy vertex order.  A state is the
+  labels of the frontier (placed vertices with unplaced neighbors),
+  shifted to minimum 0, together with the partition of the frontier into
+  unit-difference components; its work grows with the frontier width,
+  not with the number of facets.
+
+* :func:`facet_functions` lists the labelings by depth-first assignment
+  along a breadth-first vertex order rooted at vertex 0, pruning branches
+  whose unit-difference components can no longer be reconnected by the
+  unassigned vertices.
 
 * :func:`facet_count_via_subgraphs` first lists the maximal connected
   spanning bipartite subgraphs (every E_f is one of these), contracts the
@@ -27,10 +35,10 @@ from collections import deque
 from .graph import Graph, adjacency, is_connected
 
 
-def _bfs_order(g: Graph) -> tuple[list[int], list[list[int]]]:
-    """Breadth-first vertex order from 0 plus, per position, the neighbors
-    already placed.  Raises if g is disconnected."""
-    adj = adjacency(g)
+def _bfs_order(adj: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Breadth-first vertex order from 0 over the neighbor lists adj plus,
+    per position, the neighbors already placed.  Raises if the graph is
+    disconnected."""
     pos = {0: 0}
     order = [0]
     queue = deque([0])
@@ -41,7 +49,7 @@ def _bfs_order(g: Graph) -> tuple[list[int], list[list[int]]]:
                 pos[w] = len(order)
                 order.append(w)
                 queue.append(w)
-    if len(order) != g.n:
+    if len(order) != len(adj):
         raise ValueError("graph must be connected")
     prev = [[u for u in adj[v] if pos[u] < pos[v]] for v in order]
     return order, prev
@@ -61,7 +69,7 @@ def _walk_facet_labelings(g: Graph, on_leaf) -> None:
     if n < 1 or not g.edges:
         raise ValueError("facet counting needs a connected graph with >= 1 edge")
     adj = adjacency(g)
-    order, prev = _bfs_order(g)
+    order, prev = _bfs_order(adj)
 
     f = [0] * n
     assigned = [False] * n
@@ -163,19 +171,105 @@ def facet_functions(g: Graph) -> list[tuple[int, ...]]:
     _walk_facet_labelings(g, keep)
     out.sort()
     for a, b in zip(out, out[1:]):
-        assert a != b, "duplicate facet labeling; normalization is broken"
+        if a == b:
+            raise RuntimeError("duplicate facet labeling; normalization is broken")
     return out
 
 
+def _frontier_order(adj: list[list[int]]) -> list[int]:
+    """Vertex order for the frontier count over the neighbor lists adj.
+    It starts at a vertex of maximum degree and always places next a vertex
+    with a placed neighbor, choosing the one that grows the frontier least;
+    ties go to the vertex with more placed neighbors, then to the smaller
+    index.  Raises if the graph is disconnected."""
+    n = len(adj)
+    undeg = [len(a) for a in adj]  # unplaced-neighbor counts
+    placed = [False] * n
+    v = max(range(n), key=lambda x: (undeg[x], -x))
+    order = []
+    while True:
+        order.append(v)
+        placed[v] = True
+        for u in adj[v]:
+            undeg[u] -= 1
+        if len(order) == n:
+            return order
+        best = None
+        for w in range(n):
+            if placed[w] or undeg[w] == len(adj[w]):
+                continue  # placed already, or not yet next to a placed vertex
+            grow = (undeg[w] > 0) - sum(1 for u in adj[w] if placed[u] and undeg[u] == 1)
+            key = (grow, undeg[w] - len(adj[w]), w)
+            if best is None or key < best:
+                best = key
+        if best is None:
+            raise ValueError("graph must be connected")
+        v = best[2]
+
+
 def facet_count(g: Graph) -> int:
-    """Number of facets of the symmetric edge polytope of g (exact)."""
+    """Number of facets of the symmetric edge polytope of g (exact).
+
+    Places the vertices in :func:`_frontier_order` and keeps, per frontier
+    state, the exact number of partial labelings that reach it.  A state
+    maps the frontier positions to labels shifted to minimum 0 (labelings
+    are counted up to an additive constant) and to unit-difference
+    component ids numbered by first occurrence.  A placed vertex takes
+    every label within 1 of all its placed neighbors and joins the
+    components of the neighbors it differs from by exactly 1.  A component
+    with no member left on the frontier can never grow again, so the state
+    dies unless that was the last vertex; at the last vertex only the
+    labelings whose unit-difference edges form one component count.
+    """
+    n = g.n
+    if n < 1 or not g.edges:
+        raise ValueError("facet counting needs a connected graph with >= 1 edge")
+    adj = adjacency(g)
+    order = _frontier_order(adj)
+    remaining = [len(a) for a in adj]  # unplaced-neighbor counts
+    for u in adj[order[0]]:
+        remaining[u] -= 1
+    frontier = [order[0]]
+    states = {((0,), (0,)): 1}
     total = 0
-
-    def bump(_f: list[int]) -> None:
-        nonlocal total
-        total += 1
-
-    _walk_facet_labelings(g, bump)
+    for i in range(1, n):
+        v = order[i]
+        nbs = [p for p, u in enumerate(frontier) if v in adj[u]]
+        for u in adj[v]:
+            remaining[u] -= 1
+        kept = [p for p, u in enumerate(frontier) if remaining[u]]
+        stays = remaining[v] > 0
+        last = i == n - 1
+        new: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        canon: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+        for (labels, comps), cnt in states.items():
+            nl = [labels[p] for p in nbs]
+            nc = [comps[p] for p in nbs]
+            ncomp = max(comps) + 1
+            if last:  # every frontier vertex neighbors v
+                for x in range(max(nl) - 1, min(nl) + 2):
+                    if len({c for l, c in zip(nl, nc) if l - x in (1, -1)}) == ncomp:
+                        total += cnt
+                continue
+            kl = [labels[p] for p in kept]
+            kc = [comps[p] for p in kept]
+            for x in range(max(nl) - 1, min(nl) + 2):
+                merged = {c for l, c in zip(nl, nc) if l - x in (1, -1)}
+                raw = tuple([-1 if c in merged else c for c in kc])  # -1: v's component
+                if stays:
+                    raw += (-1,)
+                hit = canon.get(raw)
+                if hit is None:
+                    ids: dict[int, int] = {}
+                    hit = canon[raw] = (tuple([ids.setdefault(c, len(ids)) for c in raw]), len(ids))
+                if hit[1] != ncomp - len(merged) + 1:
+                    continue  # a component left the frontier for good
+                labs = kl + [x] if stays else kl
+                m = min(labs)
+                key = (tuple([l - m for l in labs]) if m else tuple(labs), hit[0])
+                new[key] = new.get(key, 0) + cnt
+        frontier = [frontier[p] for p in kept] + ([v] if stays else [])
+        states = new
     return total
 
 
@@ -255,7 +349,8 @@ def _contract_flat_edges(g: Graph, sub: tuple[tuple[int, int], ...]):
     edges = set()
     for u, v in sub:
         a, b = relabel[find(u)], relabel[find(v)]
-        assert a != b, "contraction produced a self-loop; not a facet subgraph"
+        if a == b:
+            raise RuntimeError("contraction produced a self-loop; not a facet subgraph")
         edges.add((min(a, b), max(a, b)))
     return len(roots), sorted(edges)
 
@@ -269,18 +364,7 @@ def _count_all_unit_labelings(k: int, edges: list[tuple[int, int]]) -> int:
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    pos = {0: 0}
-    order = [0]
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in pos:
-                pos[w] = len(order)
-                order.append(w)
-                queue.append(w)
-    assert len(order) == k
-    prev = [[u for u in adj[v] if pos[u] < pos[v]] for v in order]
+    order, prev = _bfs_order(adj)
     f = [0] * k
     total = 0
 

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -193,3 +194,29 @@ def test_guard_env_override(tmp_path, monkeypatch, capsys):
     assert main(["verify", "nn1", "--n", "6"]) == 3
     monkeypatch.setenv("SEP_FACETS_GUARD", "6")
     assert main(["verify", "nn1", "--n", "6"]) == 0
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", str((os.cpu_count() or 1) + 1)])
+def test_verify_jobs_out_of_range(capsys, jobs):
+    # rejected before any worker process starts
+    assert main(["verify", "nn1", "--n", "5", "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "--jobs" in err
+
+
+@pytest.mark.parametrize(
+    "value, argv",
+    [
+        ("-5", ["verify", "nnmax", "--n", "3"]),
+        ("abc", ["verify", "nnmax", "--n", "3"]),
+        ("12", ["verify", "nnmax", "--n", "12"]),
+    ],
+)
+def test_guard_env_rejects_bad_values(monkeypatch, capsys, value, argv):
+    monkeypatch.setenv("SEP_FACETS_GUARD", value)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "SEP_FACETS_GUARD" in captured.err

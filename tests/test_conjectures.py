@@ -5,6 +5,7 @@ import pytest
 from sepfacets import conjectures as cj
 from sepfacets.enumeration import GuardExceeded, canonical_form
 from sepfacets.facets import facet_count
+from sepfacets.formulas import double_cycle_max, parallel_paths_count
 from sepfacets.graph import cycle, cycle_with_tail, parse_graph, wedge
 
 
@@ -93,6 +94,23 @@ def test_conjectured_cb_maximizer_cases():
 def test_cb_maximizer_bound_scan():
     rep = cj.check_cb_maximizer_bound(200)
     assert rep.status == "verified"
+    assert rep.max == str(parallel_paths_count(cj.conjectured_cb_maximizer(200)))
+    with pytest.raises(ValueError):
+        cj.check_cb_maximizer_bound(200, start=9)
+
+
+def test_cb_maximizer_table_matches_formulas():
+    c = cj._central_binomials(502)
+    for n in range(10, 1001):
+        t = cj.conjectured_cb_maximizer(n)
+        assert cj._cb_maximizer_count(c, n) == parallel_paths_count(t), n
+        assert cj._double_cycle_max(c, n) == double_cycle_max(n), n
+
+
+def test_cb_maximizer_bound_cross_check_fires(monkeypatch):
+    monkeypatch.setattr(cj, "parallel_paths_count", lambda t: 0)
+    with pytest.raises(AssertionError):
+        cj.check_cb_maximizer_bound(20)
 
 
 def test_nn1_exhaustive_small():

@@ -8,12 +8,15 @@ from helpers import (
     reference_facet_labelings,
     reference_facet_subgraphs,
 )
+from sepfacets.enumeration import connected_graphs
 from sepfacets.facets import (
+    _contract_flat_edges,
     facet_count,
     facet_count_via_subgraphs,
     facet_functions,
     facet_subgraphs,
 )
+from sepfacets.formulas import cycle_count, parallel_paths_count, theta_count
 from sepfacets.graph import (
     Graph,
     cycle,
@@ -90,7 +93,11 @@ def test_disconnected_input_rejected():
     with pytest.raises(ValueError):
         facet_count(Graph(4, ((0, 1), (2, 3))))
     with pytest.raises(ValueError):
+        facet_count(Graph(5, ((0, 1), (1, 2), (1, 3))))  # vertex 4 is isolated
+    with pytest.raises(ValueError):
         facet_count(Graph(2, ()))
+    with pytest.raises(ValueError):
+        facet_count(Graph(1, ()))
     with pytest.raises(ValueError):
         facet_subgraphs(Graph(4, ((0, 1), (2, 3))))
     with pytest.raises(ValueError):
@@ -183,3 +190,47 @@ def test_labeling_values_stay_within_radius():
     for g in [cycle(7), windmill(7, 3), parallel_paths([4, 2, 1])]:
         for f in facet_functions(g):
             assert max(f) - min(f) <= g.n - 1
+
+
+def test_three_paths_agree_on_every_class_up_to_seven_vertices():
+    classes = [
+        g
+        for n in range(2, 8)
+        for e in range(n - 1, n * (n - 1) // 2 + 1)
+        for g in connected_graphs(n, e)
+    ]
+    assert len(classes) == 995
+    for g in classes:
+        assert facet_count(g) == len(facet_functions(g)) == facet_count_via_subgraphs(g), g
+
+
+def test_count_matches_reference_scan_on_random_graphs():
+    rng = Random(41)
+    for _ in range(300):
+        g = random_connected_graph(rng)
+        assert facet_count(g) == reference_facet_count(g), g
+
+
+@pytest.mark.parametrize(
+    "g, want",
+    [
+        (windmill(31, 15), 6**15),
+        (cycle(40), cycle_count(40)),
+        (theta(8, 5), theta_count(8, 5)),
+        (parallel_paths([7, 4, 3, 2]), parallel_paths_count([7, 4, 3, 2])),
+    ],
+    ids=["windmill(31,15)", "cycle(40)", "theta(8,5)", "paths(7,4,3,2)"],
+)
+def test_count_matches_closed_forms_on_large_families(g, want):
+    assert facet_count(g) == want
+
+
+def test_complete_graph_on_eight_vertices():
+    k8 = Graph(8, tuple((u, v) for u in range(8) for v in range(u + 1, 8)))
+    assert facet_count(k8) == 254
+
+
+def test_contracting_a_non_facet_subgraph_raises():
+    # keeping only one triangle edge contracts its endpoints together
+    with pytest.raises(RuntimeError):
+        _contract_flat_edges(cycle(3), ((0, 1),))
