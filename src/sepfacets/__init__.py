@@ -14,14 +14,12 @@ from .graph import (
     double_cycle,
     graph_from_json,
     graph_to_json,
-    is_bipartite,
     is_connected,
     parallel_paths,
     parse_graph,
     path,
     serialize_graph,
     theta,
-    two_coloring,
     wedge,
     windmill,
 )
@@ -43,20 +41,16 @@ from .formulas import (
     same_parity_count,
     theta_count,
     tree_count,
-    wedge_count,
     windmill_count,
 )
 from .enumeration import (
     GuardExceeded,
-    MaximizerRecord,
     canonical_form,
     canonical_graph,
     connected_graphs,
-    max_facets,
-    relabel,
     trees,
 )
 from .conjectures import ConjectureReport
-from .sampler import ChainConfig, SampleRecord, mcmc_step, run_chain
+from .sampler import ChainConfig, SampleRecord, run_chain
 
 __version__ = "0.1.0"

@@ -16,14 +16,13 @@ from pathlib import Path
 
 from . import conjectures
 from .conjectures import EXHAUSTIVE_GUARD
-from .enumeration import GuardExceeded, connected_graphs
+from .enumeration import DEFAULT_GUARD, GuardExceeded, connected_graphs
 from .facets import facet_count
 from .formulas import FamilySpec
-from .graph import MultigraphError, ParseError, graph_from_json, graph_to_json, parse_graph
+from .graph import graph_from_json, graph_to_json, parse_graph
 from .sampler import ChainConfig, figure_csv, records_jsonl, run_chain
 
 GUARD_ENV = "SEP_FACETS_GUARD"
-GUARD_CEILING = 8  # what --no-guard allows
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,15 +41,15 @@ def _load_graph(path: str):
 
 def _effective_guard(no_guard: bool) -> int:
     if no_guard:
-        return GUARD_CEILING
+        return DEFAULT_GUARD
     env = os.environ.get(GUARD_ENV)
     if env:
         try:
             guard = int(env)
         except ValueError:
             guard = 0
-        if not 1 <= guard <= GUARD_CEILING:
-            raise SystemExit2(f"{GUARD_ENV} must be an integer from 1 to {GUARD_CEILING}, got {env!r}")
+        if not 1 <= guard <= DEFAULT_GUARD:
+            raise SystemExit2(f"{GUARD_ENV} must be an integer from 1 to {DEFAULT_GUARD}, got {env!r}")
         return guard
     return EXHAUSTIVE_GUARD
 
@@ -75,19 +74,7 @@ def _build_parser() -> _Parser:
     f.add_argument("--tail", type=int, default=0, help="trailing pendant edges (wedge-cycles)")
 
     v = sub.add_parser("verify", help="run a verification sweep")
-    v.add_argument(
-        "check",
-        choices=[
-            "nnmax",
-            "disjoint",
-            "fbounds",
-            "f-leq-m",
-            "mixed-cb",
-            "nn1",
-            "windmill",
-            "identities",
-        ],
-    )
+    v.add_argument("check", choices=list(CHECKS))
     v.add_argument("--n", type=int, help="first (or only) parameter value")
     v.add_argument("--max-n", type=int, help="sweep up to this value inclusive")
     v.add_argument("--jobs", type=int, default=1, help="worker processes for exhaustive sweeps")
@@ -122,48 +109,58 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _per_n(check):
+    """Runner calling check(n, args, guard) for each n from --n to --max-n."""
+
+    def run(args, guard):
+        if args.n is None:
+            raise SystemExit2(f"--n is required for {args.check}")
+        last = args.max_n if args.max_n is not None else args.n
+        if last < args.n:
+            raise SystemExit2(f"--max-n ({last}) is below --n ({args.n})")
+        return [check(n, args, guard) for n in range(args.n, last + 1)]
+
+    return run
+
+
+def _mixed_cb(args, guard):
+    if not args.bound_only:
+        return _per_n(lambda n, a, guard: conjectures.check_mixed_cb(n))(args, guard)
+    if args.max_n is None:
+        raise SystemExit2("--max-n is required for --bound-only")
+    return [conjectures.check_cb_maximizer_bound(args.max_n)]
+
+
+# check name -> runner(args, guard) returning the reports; every runner
+# looks its conjectures.check_* up at call time
+CHECKS = {
+    "nnmax": _per_n(lambda n, a, guard: conjectures.check_nn_max(n, guard=guard, jobs=a.jobs)),
+    "disjoint": _per_n(lambda n, a, guard: conjectures.check_disjoint_cycle_bound(n)),
+    "fbounds": _per_n(lambda n, a, guard: conjectures.check_f_bounds(n)),
+    "f-leq-m": _per_n(lambda n, a, guard: conjectures.check_general_f_leq_m(n)),
+    "mixed-cb": _mixed_cb,
+    "nn1": _per_n(
+        lambda n, a, guard: conjectures.check_nn1_exhaustive(
+            n, guard=guard, jobs=a.jobs, skip_leaves=a.skip_leaves
+        )
+    ),
+    "windmill": _per_n(
+        lambda n, a, guard: conjectures.check_windmill(
+            n, guard=guard, jobs=a.jobs, samples=a.samples, seed=a.seed
+        )
+    ),
+    "identities": lambda a, guard: [
+        conjectures.check_identities(a.max_n if a.max_n is not None else 10000)
+    ],
+}
+
+
 def _run_verify(args) -> int:
     guard = _effective_guard(args.no_guard)
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise SystemExit2(f"--jobs must be from 1 to {cpus} (the CPU count), got {args.jobs}")
-    check = args.check
-    reports = []
-    if check == "identities":
-        k_max = args.max_n if args.max_n is not None else 10000
-        reports.append(conjectures.check_identities(k_max))
-    elif check == "mixed-cb" and args.bound_only:
-        if args.max_n is None:
-            raise SystemExit2("--max-n is required for --bound-only")
-        reports.append(conjectures.check_cb_maximizer_bound(args.max_n))
-    else:
-        if args.n is None:
-            raise SystemExit2(f"--n is required for {check}")
-        last = args.max_n if args.max_n is not None else args.n
-        for n in range(args.n, last + 1):
-            if check == "nnmax":
-                reports.append(conjectures.check_nn_max(n, guard=guard, jobs=args.jobs))
-            elif check == "disjoint":
-                reports.append(conjectures.check_disjoint_cycle_bound(n))
-            elif check == "fbounds":
-                reports.append(conjectures.check_f_bounds(n))
-            elif check == "f-leq-m":
-                reports.append(conjectures.check_general_f_leq_m(n))
-            elif check == "mixed-cb":
-                reports.append(conjectures.check_mixed_cb(n))
-            elif check == "nn1":
-                reports.append(
-                    conjectures.check_nn1_exhaustive(
-                        n, guard=guard, jobs=args.jobs, skip_leaves=args.skip_leaves
-                    )
-                )
-            elif check == "windmill":
-                reports.append(
-                    conjectures.check_windmill(
-                        n, guard=guard, jobs=args.jobs,
-                        samples=args.samples, seed=args.seed,
-                    )
-                )
+    reports = CHECKS[args.check](args, guard)
     for rep in reports:
         print(json.dumps(rep.to_json(), sort_keys=True))
     if any(r.status == "counterexample" for r in reports):
@@ -220,10 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     except GuardExceeded as exc:
         print(f"sepfacets: {exc}", file=sys.stderr)
         return 3
-    except SystemExit2 as exc:
-        print(f"sepfacets: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, MultigraphError, ValueError, OSError) as exc:
+    except (SystemExit2, ValueError, OSError) as exc:  # ParseError and MultigraphError too
         print(f"sepfacets: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

@@ -12,7 +12,7 @@ with a reproducible witness.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .enumeration import GuardExceeded, canonical_form, connected_graphs, facet_counts
 from .formulas import (
@@ -47,19 +47,28 @@ class ConjectureReport:
     elapsed_ms: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "params": self.params,
-            "status": self.status,
-            "max": self.max,
-            "witnesses": self.witnesses,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
 
 def _finish(report: ConjectureReport, t0: float) -> ConjectureReport:
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
+
+
+def _exhaustive_max(rep: ConjectureReport, classes: list[Graph], jobs: int):
+    """Count every class, cross-check each count against its closed form
+    where one applies, and record the maximum and every class attaining it
+    (the winners, also returned with the maximum) on rep."""
+    counts = facet_counts(classes, jobs)
+    for g, c in zip(classes, counts):
+        cf = closed_form_count(g)
+        if cf is not None and cf != c:
+            raise AssertionError(f"formula/engine disagreement on {g}")
+    mx = max(counts)
+    winners = [g for g, c in zip(classes, counts) if c == mx]
+    rep.max = str(mx)
+    rep.witnesses = [serialize_graph(g) for g in winners]
+    return mx, winners
 
 
 def _all_triples(total: int):
@@ -94,16 +103,7 @@ def check_nn_max(n: int, guard: int = EXHAUSTIVE_GUARD, jobs: int = 1) -> Conjec
     expected = cycle_with_tail_count(n, best_m)
     rep = ConjectureReport("nnmax", {"n": n}, "verified", str(expected))
     if n <= guard:
-        classes = list(connected_graphs(n, n, guard=None))
-        counts = facet_counts(classes, jobs)
-        for g, c in zip(classes, counts):
-            cf = closed_form_count(g)
-            if cf is not None and cf != c:
-                raise AssertionError(f"formula/engine disagreement on {g}")
-        mx = max(counts)
-        winners = [g for g, c in zip(classes, counts) if c == mx]
-        rep.max = str(mx)
-        rep.witnesses = [serialize_graph(g) for g in winners]
+        mx, winners = _exhaustive_max(rep, list(connected_graphs(n, n, guard=None)), jobs)
         want = canonical_form(cycle_with_tail(n, best_m))
         if mx != expected or want not in {canonical_form(g) for g in winners}:
             rep.status = "counterexample"
@@ -182,15 +182,7 @@ def check_nn1_exhaustive(
     classes = list(connected_graphs(n, n + 1, guard=None))
     if skip_leaves:
         classes = [g for g in classes if min(g.degree(v) for v in range(g.n)) >= 2]
-    counts = facet_counts(classes, jobs)
-    for g, c in zip(classes, counts):
-        cf = closed_form_count(g)
-        if cf is not None and cf != c:
-            raise AssertionError(f"formula/engine disagreement on {g}")
-    mx = max(counts)
-    winners = [g for g, c in zip(classes, counts) if c == mx]
-    rep.max = str(mx)
-    rep.witnesses = [serialize_graph(g) for g in winners]
+    mx, _ = _exhaustive_max(rep, classes, jobs)
     rep.params["bound"] = str(bound)
     if mx > bound or (not skip_leaves and mx != bound):
         rep.status = "counterexample" if mx > bound else "partial"
@@ -315,6 +307,8 @@ def check_cb_maximizer_bound(max_n: int, start: int = 10) -> ConjectureReport:
     t0 = time.perf_counter()
     if start < 10:
         raise ValueError(f"need start >= 10, got {start}")
+    if max_n < start:
+        raise ValueError(f"need max_n >= start ({start}), got {max_n}")
     rep = ConjectureReport(
         "mixed-cb", {"mode": "bound-only", "start": start, "max_n": max_n}, "verified", "0"
     )
@@ -366,12 +360,7 @@ def check_windmill(
     expected = windmill_count(n, r)
     rep = ConjectureReport("windmill", {"n": n, "e": e}, "verified", str(expected))
     if n <= guard:
-        classes = list(connected_graphs(n, e, guard=None))
-        counts = facet_counts(classes, jobs)
-        mx = max(counts)
-        winners = [g for g, c in zip(classes, counts) if c == mx]
-        rep.max = str(mx)
-        rep.witnesses = [serialize_graph(g) for g in winners]
+        mx, winners = _exhaustive_max(rep, list(connected_graphs(n, e, guard=None)), jobs)
         rep.params["mode"] = "exhaustive"
         if mx != expected or not all(_is_triangle_join(g) for g in winners):
             rep.status = "counterexample" if mx > expected else "partial"

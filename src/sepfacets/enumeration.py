@@ -16,12 +16,10 @@ every missing edge reaches every class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .facets import facet_count
 from .graph import Graph
 
-DEFAULT_GUARD = 8
+DEFAULT_GUARD = 8  # largest n enumerated by default; also the CLI's ceiling
 
 
 class GuardExceeded(RuntimeError):
@@ -134,11 +132,6 @@ def _encoding(g: Graph) -> CanonicalForm:
     return (g.n, tuple(rows))
 
 
-def relabel(g: Graph, perm: list[int]) -> Graph:
-    """Apply the vertex relabeling v -> perm[v]."""
-    return Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
-
-
 # ---------------------------------------------------------------------------
 # class generation
 # ---------------------------------------------------------------------------
@@ -201,33 +194,6 @@ def _level(n: int, e: int) -> tuple[Graph, ...]:
                     seen.setdefault(_encoding(cg), cg)
         _LEVELS[key] = tuple(seen[k] for k in sorted(seen))
     return _LEVELS[key]
-
-
-@dataclass(frozen=True)
-class MaximizerRecord:
-    """Result of an exhaustive facet-maximum search over an (n, e) class."""
-
-    n: int
-    e: int
-    maximum: int
-    witnesses: tuple[Graph, ...]  # every class attaining the maximum
-
-    def check(self) -> bool:
-        """Re-verify every witness against the facet engine."""
-        return all(facet_count(g) == self.maximum for g in self.witnesses)
-
-
-def max_facets(
-    n: int, e: int, guard: int | None = DEFAULT_GUARD, jobs: int = 1
-) -> MaximizerRecord:
-    """Exhaustive facet-count maximum over all connected (n, e) classes."""
-    classes = list(connected_graphs(n, e, guard))
-    if not classes:
-        raise ValueError(f"no connected graphs with n={n}, e={e}")
-    counts = facet_counts(classes, jobs)
-    best = max(counts)
-    witnesses = tuple(g for g, c in zip(classes, counts) if c == best)
-    return MaximizerRecord(n, e, best, witnesses)
 
 
 def facet_counts(graphs: list[Graph], jobs: int = 1) -> list[int]:

@@ -78,7 +78,6 @@ def _walk_facet_labelings(g: Graph, on_leaf) -> None:
     size = [1] * n
     open_cnt = [0] * n  # per root: members that still have unassigned neighbors
     trail: list[tuple[list, int, int]] = []
-    bound = n - 1  # with f(0) = 0 every value stays within a BFS radius
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -100,7 +99,6 @@ def _walk_facet_labelings(g: Graph, on_leaf) -> None:
 
     def assign(v: int, label: int, last: bool) -> bool:
         """Place label on v; return False when the branch is already dead."""
-        assert -bound <= label <= bound
         f[v] = label
         touched = []
         for u in adj[v]:
@@ -173,6 +171,9 @@ def facet_functions(g: Graph) -> list[tuple[int, ...]]:
     for a, b in zip(out, out[1:]):
         if a == b:
             raise RuntimeError("duplicate facet labeling; normalization is broken")
+    # unit steps span a connected graph, so no labeling spans more than n - 1
+    if any(max(f) > g.n - 1 for f in out):
+        raise RuntimeError("facet labeling spans more than n - 1; the walk is broken")
     return out
 
 
@@ -222,7 +223,7 @@ def facet_count(g: Graph) -> int:
     labelings whose unit-difference edges form one component count.
     """
     n = g.n
-    if n < 1 or not g.edges:
+    if g.m < max(n - 1, 1):  # fewer edges cannot connect; before any allocation
         raise ValueError("facet counting needs a connected graph with >= 1 edge")
     adj = adjacency(g)
     order = _frontier_order(adj)
@@ -345,10 +346,10 @@ def _contract_flat_edges(g: Graph, sub: tuple[tuple[int, int], ...]):
             if ra != rb:
                 parent[ra] = rb
     roots = sorted({find(v) for v in range(g.n)})
-    relabel = {r: i for i, r in enumerate(roots)}
+    index = {r: i for i, r in enumerate(roots)}
     edges = set()
     for u, v in sub:
-        a, b = relabel[find(u)], relabel[find(v)]
+        a, b = index[find(u)], index[find(v)]
         if a == b:
             raise RuntimeError("contraction produced a self-loop; not a facet subgraph")
         edges.add((min(a, b), max(a, b)))
@@ -389,7 +390,7 @@ def facet_count_via_subgraphs(g: Graph) -> int:
     """Facet count obtained by summing, over every maximal connected
     spanning bipartite subgraph, the all-unit-step labelings of the graph
     with the remaining edges contracted.  Always equals facet_count(g)."""
-    if g.n < 1 or not g.edges:
+    if g.m < max(g.n - 1, 1):  # fewer edges cannot connect; before any allocation
         raise ValueError("facet counting needs a connected graph with >= 1 edge")
     total = 0
     for sub in facet_subgraphs(g):

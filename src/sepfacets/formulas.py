@@ -40,13 +40,6 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def _prod(values) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out
-
-
 def cycle_count(m: int) -> int:
     """Facets of the m-cycle: binom(m, m/2) for even m, m*binom(m-1, (m-1)/2)
     for odd m.  m = 2 is the doubled-edge convention and returns 2."""
@@ -63,14 +56,6 @@ def tree_count(n: int) -> int:
     if n < 1:
         raise ValueError(f"tree needs >= 1 vertex, got {n}")
     return 1 << (n - 1)
-
-
-def wedge_count(parts) -> int:
-    """Facet counts multiply when graphs are glued at a single vertex."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("wedge_count needs at least one factor")
-    return _prod(parts)
 
 
 def cycle_with_tail_count(n: int, m: int) -> int:
@@ -180,14 +165,14 @@ def parallel_paths_count(lengths) -> int:
     odds = [x for x in pv if x % 2 == 1]
     if not evens or not odds:
         return _same_parity(pv.lengths)
-    total = _prod(evens) * _same_parity([x - 1 for x in evens] + odds)
+    total = math.prod(evens) * _same_parity([x - 1 for x in evens] + odds)
     big_odds = [x for x in odds if x > 1]
     if len(big_odds) == len(odds):
-        total += _prod(odds) * _same_parity(evens + [x - 1 for x in odds])
+        total += math.prod(odds) * _same_parity(evens + [x - 1 for x in odds])
     else:
-        cycles = _prod(cycle_count(x) for x in evens)
-        cycles *= _prod(cycle_count(x - 1) for x in big_odds)
-        total += _prod(odds) * cycles
+        cycles = math.prod(cycle_count(x) for x in evens)
+        cycles *= math.prod(cycle_count(x - 1) for x in big_odds)
+        total += math.prod(odds) * cycles
     return total
 
 
@@ -276,16 +261,28 @@ def closed_form_count(g: Graph) -> int | None:
 # family specs for the command line
 # ---------------------------------------------------------------------------
 
-_FAMILY_ARITY = {
-    "cycle": 1,        # m
-    "tree": 1,         # n
-    "cycle-path": 2,   # n, m
-    "two-cycles": 3,   # n, i, j
-    "paths": None,     # m1 m2 ...
-    "theta": 2,        # m, t
-    "windmill": 2,     # n, r
-    "wedge-cycles": None,  # cycle lengths (>= 2 each), plus optional tail edges
-    "max-bicyclic": 1,  # n
+def _wedge_cycles(*lengths: int) -> Graph:
+    if any(c < 3 for c in lengths):
+        raise MultigraphError(f"cycle lengths {lengths} include a degenerate cycle; formula only")
+    g = cycle(lengths[0])
+    for c in lengths[1:]:
+        g = wedge(g, cycle(c), 0, 0)
+    return g
+
+
+# name -> (parameter count or None for any, count, graph builder or None
+# for formula-only); both take the parameters as positional arguments
+_FAMILIES = {
+    "cycle": (1, cycle_count, cycle),  # m
+    "tree": (1, tree_count, lambda n: Graph(1, ()) if n == 1 else path(n - 1)),  # n
+    "cycle-path": (2, cycle_with_tail_count, cycle_with_tail),  # n, m
+    "two-cycles": (3, double_cycle_count, double_cycle),  # n, i, j
+    "paths": (None, lambda *m: parallel_paths_count(m), lambda *m: parallel_paths(m)),
+    "theta": (2, theta_count, theta),  # m, t
+    "windmill": (2, windmill_count, windmill),  # n, r
+    # cycle lengths (>= 2 each), plus optional tail edges
+    "wedge-cycles": (None, lambda *c: math.prod(map(cycle_count, c)), _wedge_cycles),
+    "max-bicyclic": (1, double_cycle_max, None),  # n
 }
 
 
@@ -299,11 +296,11 @@ class FamilySpec:
     tail: int = 0  # trailing pendant edges, wedge-cycles only
 
     def __post_init__(self):
-        if self.kind not in _FAMILY_ARITY:
+        if self.kind not in _FAMILIES:
             raise ValueError(
-                f"unknown family {self.kind!r}; choose from {sorted(_FAMILY_ARITY)}"
+                f"unknown family {self.kind!r}; choose from {sorted(_FAMILIES)}"
             )
-        arity = _FAMILY_ARITY[self.kind]
+        arity = _FAMILIES[self.kind][0]
         if arity is not None and len(self.params) != arity:
             raise ValueError(
                 f"family {self.kind!r} takes {arity} parameters, got {len(self.params)}"
@@ -316,55 +313,14 @@ class FamilySpec:
             raise ValueError("tail edges only apply to wedge-cycles")
 
     def count(self) -> int:
-        p = self.params
-        if self.kind == "cycle":
-            return cycle_count(p[0])
-        if self.kind == "tree":
-            return tree_count(p[0])
-        if self.kind == "cycle-path":
-            return cycle_with_tail_count(*p)
-        if self.kind == "two-cycles":
-            return double_cycle_count(*p)
-        if self.kind == "paths":
-            return parallel_paths_count(p)
-        if self.kind == "theta":
-            return theta_count(*p)
-        if self.kind == "windmill":
-            return windmill_count(*p)
-        if self.kind == "wedge-cycles":
-            return _prod(cycle_count(c) for c in p) << self.tail
-        return double_cycle_max(p[0])
+        return _FAMILIES[self.kind][1](*self.params) << self.tail
 
     def graph(self) -> Graph:
-        p = self.params
-        if self.kind == "cycle":
-            return cycle(p[0])
-        if self.kind == "tree":
-            if p[0] == 1:
-                return Graph(1, ())
-            return path(p[0] - 1)
-        if self.kind == "cycle-path":
-            return cycle_with_tail(*p)
-        if self.kind == "two-cycles":
-            return double_cycle(*p)
-        if self.kind == "paths":
-            return parallel_paths(p)
-        if self.kind == "theta":
-            return theta(*p)
-        if self.kind == "windmill":
-            return windmill(*p)
-        if self.kind == "wedge-cycles":
-            if any(c < 3 for c in p):
-                raise MultigraphError(
-                    f"cycle lengths {p} include a degenerate cycle; formula only"
-                )
-            g = cycle(p[0])
-            for c in p[1:]:
-                g = wedge(g, cycle(c), 0, 0)
-            if self.tail:
-                g = wedge(g, path(self.tail), 0, 0)
-            return g
-        raise ValueError(f"family {self.kind!r} is formula-only")
+        build = _FAMILIES[self.kind][2]
+        if build is None:
+            raise ValueError(f"family {self.kind!r} is formula-only")
+        g = build(*self.params)
+        return wedge(g, path(self.tail), 0, 0) if self.tail else g
 
     @classmethod
     def parse(cls, tokens: list[str], tail: int = 0) -> "FamilySpec":

@@ -133,15 +133,15 @@ def wedge(g: Graph, h: Graph, u: int, v: int) -> Graph:
         raise ValueError(f"vertex {u} not in first graph (n={g.n})")
     if not 0 <= v < h.n:
         raise ValueError(f"vertex {v} not in second graph (n={h.n})")
-    relabel = {}
+    label = {}
     nxt = g.n
     for w in range(h.n):
         if w == v:
-            relabel[w] = u
+            label[w] = u
         else:
-            relabel[w] = nxt
+            label[w] = nxt
             nxt += 1
-    edges = list(g.edges) + [(relabel[a], relabel[b]) for a, b in h.edges]
+    edges = list(g.edges) + [(label[a], label[b]) for a, b in h.edges]
     return Graph(g.n + h.n - 1, tuple(edges))
 
 
@@ -250,30 +250,6 @@ def is_connected(g: Graph) -> bool:
                 count += 1
                 queue.append(w)
     return count == g.n
-
-
-def two_coloring(g: Graph) -> tuple[int, ...] | None:
-    """A proper 2-coloring (tuple of 0/1 per vertex) if g is bipartite, else None."""
-    adj = adjacency(g)
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    return tuple(color)
-
-
-def is_bipartite(g: Graph) -> bool:
-    return two_coloring(g) is not None
 
 
 def biconnected_blocks(g: Graph) -> list[tuple[tuple[int, int], ...]]:

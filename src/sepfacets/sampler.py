@@ -26,11 +26,16 @@ from random import Random
 from typing import Iterator
 
 from .facets import facet_count
-from .graph import Graph, cycle, graph_to_json, is_connected, path, serialize_graph
+from .enumeration import GuardExceeded
+from .graph import Graph, cycle, graph_to_json, is_connected, path
 
 RNG_ID = "python-random-mt19937"
 
 _CONNECTIVITY_CACHE_CAP = 1 << 18
+
+# A chain state holds all C(n, 2) vertex pairs (about 166 MB at n = 1024),
+# so larger n is refused before anything is allocated.
+MAX_CHAIN_VERTICES = 1024
 
 
 def default_burn_in(n: int, e: int) -> int:
@@ -56,6 +61,10 @@ class ChainConfig:
     initial: Graph | None = None
 
     def __post_init__(self):
+        if self.n > MAX_CHAIN_VERTICES:
+            raise GuardExceeded(
+                f"a chain on n={self.n} vertices exceeds the limit of {MAX_CHAIN_VERTICES}"
+            )
         max_e = self.n * (self.n - 1) // 2
         if self.n < 1 or not self.n - 1 <= self.e <= max_e:
             raise ValueError(
@@ -211,15 +220,6 @@ class _ChainState:
         return True
 
 
-def mcmc_step(g: Graph, rng: Random) -> Graph:
-    """One single-edge-replacement step from g; returns g itself when the
-    proposal is rejected or no non-edge exists."""
-    if not is_connected(g):
-        raise ValueError("chain states must be connected")
-    state = _ChainState(g.n, g)
-    return state.graph() if state.step(rng) else g
-
-
 def iter_states(cfg: ChainConfig) -> Iterator[tuple[int, int, tuple[tuple[int, int], ...]]]:
     """Every chain state in order: (step, edge bitmask, pair table is
     implied by n).  Step 0 is the initial state; facet counts are not
@@ -327,12 +327,3 @@ def records_jsonl(
             )
         )
     return "\n".join(out) + "\n"
-
-
-def verify_records(records: list[SampleRecord]) -> bool:
-    """Recompute every record's facet count from its serialized graph."""
-    from .graph import parse_graph
-
-    return all(
-        facet_count(parse_graph(serialize_graph(r.graph))) == r.count for r in records
-    )

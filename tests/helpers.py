@@ -1,16 +1,19 @@
-"""Independent brute-force oracles used to pin expected values.
+"""Independent brute-force oracles used to pin expected values, and small
+graph utilities that only tests need.
 
-Everything here recomputes facet data from first principles with the
-dumbest possible method (full product scans, powerset scans), sharing no
-search code with the package, so agreement is meaningful.
+The oracles recompute facet data from first principles with the dumbest
+possible method (full product scans, powerset scans), sharing no search
+code with the package, so agreement is meaningful.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from random import Random
 
-from sepfacets.graph import Graph
+from sepfacets.graph import Graph, adjacency, is_connected
+from sepfacets.sampler import _ChainState
 
 
 def _spans_connected(n: int, edges) -> bool:
@@ -89,3 +92,41 @@ def random_connected_graph(rng: Random, max_n: int = 6) -> Graph:
         g = Graph(n, edges)
         if edges and _spans_connected(n, edges):
             return g
+
+
+def relabel(g: Graph, perm: list[int]) -> Graph:
+    """Apply the vertex relabeling v -> perm[v]."""
+    return Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
+
+
+def two_coloring(g: Graph) -> tuple[int, ...] | None:
+    """A proper 2-coloring (tuple of 0/1 per vertex) if g is bipartite, else None."""
+    adj = adjacency(g)
+    color = [-1] * g.n
+    for start in range(g.n):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if color[w] == -1:
+                    color[w] = 1 - color[v]
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    return None
+    return tuple(color)
+
+
+def is_bipartite(g: Graph) -> bool:
+    return two_coloring(g) is not None
+
+
+def mcmc_step(g: Graph, rng: Random) -> Graph:
+    """One single-edge-replacement step of the sampling chain from g;
+    returns g itself when the proposal is rejected or no non-edge exists."""
+    if not is_connected(g):
+        raise ValueError("chain states must be connected")
+    state = _ChainState(g.n, g)
+    return state.graph() if state.step(rng) else g

@@ -54,6 +54,21 @@ def test_count_json_shape_errors(tmp_path, capsys, text, field):
     assert "Traceback" not in err
 
 
+def test_count_huge_vertex_count_with_one_edge(tmp_path, capsys, monkeypatch):
+    from sepfacets import facets
+
+    def no_allocation(*args):
+        raise AssertionError("adjacency built for a disconnected graph")
+
+    monkeypatch.setattr(facets, "adjacency", no_allocation)
+    f = tmp_path / "g.txt"
+    f.write_text("1000000000\n0 1\n")
+    assert f.stat().st_size == 15
+    assert main(["count", "--edges", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "connected" in err
+
+
 def test_formula_commands(capsys):
     assert main(["formula", "windmill", "7", "3"]) == 0
     assert capsys.readouterr().out.strip() == "216"
@@ -123,6 +138,21 @@ def test_counterexample_maps_to_exit_two(monkeypatch, capsys):
     assert rep["status"] == "counterexample" and rep["witnesses"]
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "disjoint", "--n", "5", "--max-n", "3"], "--max-n"),
+        (["verify", "mixed-cb", "--bound-only", "--max-n", "5"], "max_n"),
+    ],
+)
+def test_verify_empty_range_is_an_error(capsys, argv, flag):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert flag in captured.err
+
+
 def test_verify_identities(capsys):
     assert main(["verify", "identities", "--max-n", "300"]) == 0
     rep = json.loads(capsys.readouterr().out)
@@ -164,6 +194,18 @@ def test_sample_histogram_jsonl_and_initial(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert json.loads(lines[0])["meta"]["n"] == 7
     assert json.loads(lines[1])["count"] == "216"  # starts at the windmill
+
+
+def test_chain_vertex_limit_exit_code(tmp_path, capsys):
+    # refused before the chain allocates its C(n, 2) pair table
+    out = tmp_path / "x.csv"
+    argv = ["sample", "--n", "1025", "--edges", "1024", "--samples", "1",
+            "--seed", "0", "--out", str(out)]
+    assert main(argv) == 3
+    assert "1024" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["verify", "windmill", "--n", "1025", "--samples", "1"]) == 3
+    assert "1024" in capsys.readouterr().err
 
 
 def test_sample_infeasible_config(tmp_path, capsys):

@@ -27,6 +27,18 @@ def test_nn_max_exhaustive_small():
             g = parse_graph(w)
             assert facet_count(g) == want
         _roundtrips(rep)
+    # C5 is the only (5, 5) class with 30 facets
+    rep = cj.check_nn_max(5)
+    assert [canonical_form(parse_graph(w)) for w in rep.witnesses] == [canonical_form(cycle(5))]
+
+
+@pytest.mark.parametrize(
+    "sweep", [cj.check_nn_max, cj.check_nn1_exhaustive, cj.check_windmill]
+)
+def test_exhaustive_sweeps_cross_check_closed_forms(monkeypatch, sweep):
+    monkeypatch.setattr(cj, "closed_form_count", lambda g: 1)
+    with pytest.raises(AssertionError, match="formula/engine disagreement"):
+        sweep(5)
 
 
 def test_nn_max_witness_is_the_expected_family_member():
@@ -97,6 +109,8 @@ def test_cb_maximizer_bound_scan():
     assert rep.max == str(parallel_paths_count(cj.conjectured_cb_maximizer(200)))
     with pytest.raises(ValueError):
         cj.check_cb_maximizer_bound(200, start=9)
+    with pytest.raises(ValueError, match="max_n"):
+        cj.check_cb_maximizer_bound(9)  # empty range: nothing would be checked
 
 
 def test_cb_maximizer_table_matches_formulas():
@@ -139,10 +153,9 @@ def test_nn1_guard():
 def test_windmill_exhaustive_small():
     rep = cj.check_windmill(5)
     assert rep.status == "verified" and rep.max == "36"
+    # the bowtie is the only (5, 6) class with 36 facets
     bowtie = wedge(cycle(3), cycle(3), 0, 0)
-    assert {canonical_form(parse_graph(w)) for w in rep.witnesses} == {
-        canonical_form(bowtie)
-    }
+    assert [canonical_form(parse_graph(w)) for w in rep.witnesses] == [canonical_form(bowtie)]
 
 
 def test_windmill_sampled_mode():

@@ -3,18 +3,17 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import relabel
 from sepfacets.enumeration import (
     GuardExceeded,
     canonical_form,
     canonical_graph,
     connected_graphs,
     facet_counts,
-    max_facets,
-    relabel,
     trees,
 )
 from sepfacets.facets import facet_count
-from sepfacets.graph import Graph, cycle, is_connected, wedge
+from sepfacets.graph import Graph, is_connected
 
 
 @st.composite
@@ -89,19 +88,6 @@ def test_guard_refuses_large_n():
         list(connected_graphs(9, 9))
     with pytest.raises(GuardExceeded):
         list(connected_graphs(9, 9, guard=8))
-
-
-def test_max_facets_five_vertices():
-    rec = max_facets(5, 5)
-    assert rec.maximum == 30
-    assert len(rec.witnesses) == 1
-    assert canonical_form(rec.witnesses[0]) == canonical_form(cycle(5))
-    assert rec.check()
-
-    rec = max_facets(5, 6)
-    assert rec.maximum == 36
-    bowtie = wedge(cycle(3), cycle(3), 0, 0)
-    assert [canonical_form(g) for g in rec.witnesses] == [canonical_form(bowtie)]
 
 
 def test_facet_counts_parallel_matches_sequential():

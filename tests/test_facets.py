@@ -3,6 +3,7 @@ from random import Random
 import pytest
 
 from helpers import (
+    is_bipartite,
     random_connected_graph,
     reference_facet_count,
     reference_facet_labelings,
@@ -21,7 +22,6 @@ from sepfacets.graph import (
     Graph,
     cycle,
     double_cycle,
-    is_bipartite,
     parallel_paths,
     path,
     theta,
@@ -102,6 +102,29 @@ def test_disconnected_input_rejected():
         facet_subgraphs(Graph(4, ((0, 1), (2, 3))))
     with pytest.raises(ValueError):
         facet_count_via_subgraphs(Graph(4, ((0, 1), (2, 3))))
+
+
+def test_too_few_edges_rejected_before_allocation(monkeypatch):
+    from sepfacets import facets
+
+    def no_allocation(*args):
+        raise AssertionError("per-vertex structures built for a disconnected graph")
+
+    monkeypatch.setattr(facets, "adjacency", no_allocation)
+    monkeypatch.setattr(facets, "is_connected", no_allocation)
+    huge = Graph(10**9, ((0, 1),))
+    for count in (facet_count, facet_count_via_subgraphs):
+        with pytest.raises(ValueError, match="connected"):
+            count(huge)
+
+
+def test_out_of_range_labeling_is_caught(monkeypatch):
+    from sepfacets import facets
+
+    # a labeling spanning 5 on 3 vertices cannot come from unit steps
+    monkeypatch.setattr(facets, "_walk_facet_labelings", lambda g, on_leaf: on_leaf([0, 5, 1]))
+    with pytest.raises(RuntimeError, match="n - 1"):
+        facet_functions(path(2))
 
 
 def test_negation_is_fixed_point_free_involution():

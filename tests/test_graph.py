@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import is_bipartite, two_coloring
 from sepfacets.graph import (
     Graph,
     MultigraphError,
@@ -12,14 +13,12 @@ from sepfacets.graph import (
     double_cycle,
     graph_from_json,
     graph_to_json,
-    is_bipartite,
     is_connected,
     parallel_paths,
     parse_graph,
     path,
     serialize_graph,
     theta,
-    two_coloring,
     wedge,
     windmill,
 )

@@ -5,17 +5,26 @@ from random import Random
 
 import pytest
 
+from helpers import mcmc_step
+from sepfacets.enumeration import GuardExceeded
 from sepfacets.facets import facet_count
-from sepfacets.graph import Graph, cycle, graph_from_json, is_connected, windmill
+from sepfacets.graph import (
+    Graph,
+    cycle,
+    graph_from_json,
+    is_connected,
+    parse_graph,
+    serialize_graph,
+    windmill,
+)
 from sepfacets.sampler import (
+    MAX_CHAIN_VERTICES,
     ChainConfig,
     default_initial,
     figure_csv,
     iter_states,
-    mcmc_step,
     records_jsonl,
     run_chain,
-    verify_records,
 )
 
 
@@ -32,6 +41,16 @@ def test_config_validation():
         ChainConfig(n=5, e=6, steps=10, burn_in=0, thin=1, seed=0, initial=cycle(5))
     cfg = ChainConfig.for_samples(5, 6, 10, seed=1, burn_in=7, thin=3)
     assert cfg.steps == 7 + 9 * 3
+
+
+def test_config_refuses_more_than_max_chain_vertices():
+    # refused before the C(n, 2) pair table is built
+    n = MAX_CHAIN_VERTICES + 1
+    assert n == 1025
+    with pytest.raises(GuardExceeded):
+        ChainConfig(n=n, e=n - 1, steps=1, burn_in=0, thin=1, seed=0)
+    with pytest.raises(GuardExceeded):
+        ChainConfig.for_samples(n, n, 5, seed=0)
 
 
 def test_default_initial_states():
@@ -101,7 +120,8 @@ def test_run_chain_emits_requested_samples():
     for r in records:
         assert r.graph.n == 6 and r.graph.m == 7
         assert r.count == facet_count(r.graph)
-    assert verify_records(records)
+    # recount every record from its serialized graph
+    assert all(facet_count(parse_graph(serialize_graph(r.graph))) == r.count for r in records)
 
 
 def test_burn_in_zero_includes_initial_state():
