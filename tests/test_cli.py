@@ -197,10 +197,11 @@ def test_sample_histogram_jsonl_and_initial(tmp_path):
 
 
 def test_chain_vertex_limit_exit_code(tmp_path, capsys):
-    # refused before the chain allocates its C(n, 2) pair table
+    # refused before the chain allocates its C(n, 2) pair table; zero
+    # burn-in keeps even an unrefused run to one record
     out = tmp_path / "x.csv"
     argv = ["sample", "--n", "1025", "--edges", "1024", "--samples", "1",
-            "--seed", "0", "--out", str(out)]
+            "--burn-in", "0", "--seed", "0", "--out", str(out)]
     assert main(argv) == 3
     assert "1024" in capsys.readouterr().err
     assert not out.exists()
