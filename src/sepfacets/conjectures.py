@@ -55,10 +55,14 @@ def _finish(report: ConjectureReport, t0: float) -> ConjectureReport:
     return report
 
 
-def _exhaustive_max(rep: ConjectureReport, classes: list[Graph], jobs: int):
-    """Count every class, cross-check each count against its closed form
-    where one applies, and record the maximum and every class attaining it
-    (the winners, also returned with the maximum) on rep."""
+def _exhaustive_max(rep: ConjectureReport, n: int, e: int, jobs: int, keep=None):
+    """Count every connected (n, e) class that keep (default: all) admits,
+    cross-check each count against its closed form where one applies, and
+    record the maximum and every class attaining it (the winners, also
+    returned with the maximum) on rep."""
+    classes = [g for g in connected_graphs(n, e, guard=None) if keep is None or keep(g)]
+    if not classes:
+        raise ValueError(f"no connected graphs with n={n}, e={e}")
     counts = facet_counts(classes, jobs)
     for g, c in zip(classes, counts):
         cf = closed_form_count(g)
@@ -103,7 +107,7 @@ def check_nn_max(n: int, guard: int = EXHAUSTIVE_GUARD, jobs: int = 1) -> Conjec
     expected = cycle_with_tail_count(n, best_m)
     rep = ConjectureReport("nnmax", {"n": n}, "verified", str(expected))
     if n <= guard:
-        mx, winners = _exhaustive_max(rep, list(connected_graphs(n, n, guard=None)), jobs)
+        mx, winners = _exhaustive_max(rep, n, n, jobs)
         want = canonical_form(cycle_with_tail(n, best_m))
         if mx != expected or want not in {canonical_form(g) for g in winners}:
             rep.status = "counterexample"
@@ -179,10 +183,8 @@ def check_nn1_exhaustive(
         )
     bound = double_cycle_max(n)
     rep = ConjectureReport("nn1", {"n": n, "skip_leaves": skip_leaves}, "verified", "0")
-    classes = list(connected_graphs(n, n + 1, guard=None))
-    if skip_leaves:
-        classes = [g for g in classes if min(g.degree(v) for v in range(g.n)) >= 2]
-    mx, _ = _exhaustive_max(rep, classes, jobs)
+    keep = (lambda g: min(g.degree(v) for v in range(g.n)) >= 2) if skip_leaves else None
+    mx, _ = _exhaustive_max(rep, n, n + 1, jobs, keep)
     rep.params["bound"] = str(bound)
     if mx > bound or (not skip_leaves and mx != bound):
         rep.status = "counterexample" if mx > bound else "partial"
@@ -360,7 +362,7 @@ def check_windmill(
     expected = windmill_count(n, r)
     rep = ConjectureReport("windmill", {"n": n, "e": e}, "verified", str(expected))
     if n <= guard:
-        mx, winners = _exhaustive_max(rep, list(connected_graphs(n, e, guard=None)), jobs)
+        mx, winners = _exhaustive_max(rep, n, e, jobs)
         rep.params["mode"] = "exhaustive"
         if mx != expected or not all(_is_triangle_join(g) for g in winners):
             rep.status = "counterexample" if mx > expected else "partial"

@@ -27,13 +27,11 @@ from typing import Iterator
 
 from .facets import facet_count
 from .enumeration import GuardExceeded
-from .graph import Graph, cycle, graph_to_json, is_connected, path
+from .graph import Graph, cycle, graph_to_json, is_connected
 
 RNG_ID = "python-random-mt19937"
 
-_CONNECTIVITY_CACHE_CAP = 1 << 18
-
-# A chain state holds all C(n, 2) vertex pairs (about 166 MB at n = 1024),
+# A chain state holds all C(n, 2) vertex pairs (about 69 MB at n = 1024),
 # so larger n is refused before anything is allocated.
 MAX_CHAIN_VERTICES = 1024
 
@@ -134,85 +132,75 @@ class SampleRecord:
 def default_initial(n: int, e: int) -> Graph:
     """Deterministic starting state: a cycle plus the lexicographically
     smallest chords (a path when e = n - 1 leaves no room for a cycle)."""
-    if n == 1:
-        return Graph(1, ())
     if e == n - 1:
-        return path(n - 1) if n >= 2 else Graph(1, ())
-    if n == 2:
-        return path(1)
-    base = list(cycle(n).edges)
-    have = set(base)
-    for u in range(n):
-        if len(base) == e:
-            break
-        for v in range(u + 1, n):
-            if (u, v) not in have:
-                base.append((u, v))
-                have.add((u, v))
-                if len(base) == e:
-                    break
-    return Graph(n, tuple(base))
+        return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+    ring = set(cycle(n).edges)
+    chords = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in ring]
+    return Graph(n, tuple(ring) + tuple(chords[: e - n]))
 
 
 class _ChainState:
     """Edge set as a bitmask over the C(n, 2) vertex pairs, with sorted
-    index lists for uniform edge / non-edge draws."""
+    index lists for uniform edge / non-edge draws and one neighbour
+    bitmask per vertex for the connectivity test."""
 
     def __init__(self, n: int, g: Graph):
         self.n = n
-        self.pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        self.index = {p: i for i, p in enumerate(self.pairs)}
-        self.edges = sorted(self.index[e] for e in g.edges)
-        self.non_edges = sorted(set(range(len(self.pairs))) - set(self.edges))
-        self.mask = 0
-        for i in self.edges:
-            self.mask |= 1 << i
-        self._connected_memo: dict[int, bool] = {}
+        self.pairs = tuple((u, v) for u in range(n) for v in range(u + 1, n))
+        have = set(g.edges)
+        self.edges: list[int] = []
+        self.non_edges: list[int] = []
+        for i, p in enumerate(self.pairs):
+            (self.edges if p in have else self.non_edges).append(i)
+        self.mask = sum(1 << i for i in self.edges)
+        self.adj = [0] * n
+        for u, v in g.edges:
+            self._flip(u, v)
 
     def graph(self) -> Graph:
         return Graph(self.n, tuple(self.pairs[i] for i in self.edges))
 
-    def _connected_mask(self, mask: int) -> bool:
-        memo = self._connected_memo
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        adj = [0] * self.n
-        m = mask
-        while m:
-            low = m & -m
-            u, v = self.pairs[low.bit_length() - 1]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            m ^= low
-        seen = 1
-        frontier = 1
+    def _flip(self, u: int, v: int) -> None:
+        self.adj[u] ^= 1 << v
+        self.adj[v] ^= 1 << u
+
+    def _reaches(self, a: int, b: int) -> bool:
+        """Breadth-first search from a that stops as soon as b is seen."""
+        adj = self.adj
+        target = 1 << b
+        seen = frontier = 1 << a
         while frontier:
             nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
+            while frontier:
+                low = frontier & -frontier
                 nxt |= adj[low.bit_length() - 1]
-                f ^= low
+                frontier ^= low
+            if nxt & target:
+                return True
             frontier = nxt & ~seen
             seen |= frontier
-        ok = seen == (1 << self.n) - 1
-        if len(memo) < _CONNECTIVITY_CACHE_CAP:
-            memo[mask] = ok
-        return ok
+        return False
 
     def step(self, rng: Random) -> bool:
-        """One edge-replacement proposal; True when the move was accepted."""
+        """One edge-replacement proposal; True when the move was accepted.
+
+        The current graph is connected, so the swapped graph is connected
+        exactly when the removed edge's ends a, b still reach each other."""
         if not self.non_edges:
             return False  # complete graph: the chain is frozen
         e_at = rng.randrange(len(self.edges))
         f_at = rng.randrange(len(self.non_edges))
         e_idx = self.edges[e_at]
         f_idx = self.non_edges[f_at]
-        new_mask = (self.mask ^ (1 << e_idx)) | (1 << f_idx)
-        if not self._connected_mask(new_mask):
+        a, b = self.pairs[e_idx]
+        c, d = self.pairs[f_idx]
+        self._flip(a, b)
+        self._flip(c, d)
+        if not self._reaches(a, b):
+            self._flip(a, b)
+            self._flip(c, d)
             return False
-        self.mask = new_mask
+        self.mask ^= (1 << e_idx) | (1 << f_idx)
         self.edges.pop(e_at)
         insort(self.edges, f_idx)
         self.non_edges.pop(f_at)
@@ -220,37 +208,33 @@ class _ChainState:
         return True
 
 
-def iter_states(cfg: ChainConfig) -> Iterator[tuple[int, int, tuple[tuple[int, int], ...]]]:
-    """Every chain state in order: (step, edge bitmask, pair table is
-    implied by n).  Step 0 is the initial state; facet counts are not
-    computed here, so uniformity tests can consume millions of steps."""
+def _walk(cfg: ChainConfig) -> Iterator[tuple[int, _ChainState]]:
+    """The one chain set-up: the state after each of steps 0..cfg.steps,
+    step 0 being the initial state.  The same object is yielded every time."""
     start = cfg.initial if cfg.initial is not None else default_initial(cfg.n, cfg.e)
     state = _ChainState(cfg.n, start)
     rng = Random(cfg.seed)
-    pairs = tuple(state.pairs)
-    yield 0, state.mask, pairs
+    yield 0, state
     for step in range(1, cfg.steps + 1):
         state.step(rng)
-        yield step, state.mask, pairs
+        yield step, state
+
+
+def iter_states(cfg: ChainConfig) -> Iterator[tuple[int, int, tuple[tuple[int, int], ...]]]:
+    """Every chain state in order: (step, edge bitmask, the pair table
+    that the bitmask indexes).  Step 0 is the initial state; facet counts are not
+    computed here, so uniformity tests can consume millions of steps."""
+    for step, state in _walk(cfg):
+        yield step, state.mask, state.pairs
 
 
 def run_chain(cfg: ChainConfig) -> Iterator[SampleRecord]:
     """Run the chain, emitting a record at the end of burn-in and then one
     every `thin` steps, each with its exact facet count."""
-    start = cfg.initial if cfg.initial is not None else default_initial(cfg.n, cfg.e)
-    state = _ChainState(cfg.n, start)
-    rng = Random(cfg.seed)
-
-    def emit(step: int) -> SampleRecord:
-        g = state.graph()
-        return SampleRecord(step, facet_count(g), g)
-
-    if cfg.burn_in == 0:
-        yield emit(0)
-    for step in range(1, cfg.steps + 1):
-        state.step(rng)
+    for step, state in _walk(cfg):
         if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.thin == 0:
-            yield emit(step)
+            g = state.graph()
+            yield SampleRecord(step, facet_count(g), g)
 
 
 # ---------------------------------------------------------------------------

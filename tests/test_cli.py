@@ -42,6 +42,7 @@ def test_count_parse_error(tmp_path, capsys):
         ('{"n": "3", "edges": []}', "'n'"),
         ('{"n": 2.5, "edges": [[0, 1]]}', "'n'"),
         ('{"n": 3, "edges": [[0, true]]}', "edges[0]"),
+        pytest.param("[" * 100000, "nested", id="deep-nesting"),
     ],
 )
 def test_count_json_shape_errors(tmp_path, capsys, text, field):
@@ -143,6 +144,10 @@ def test_counterexample_maps_to_exit_two(monkeypatch, capsys):
     [
         (["verify", "disjoint", "--n", "5", "--max-n", "3"], "--max-n"),
         (["verify", "mixed-cb", "--bound-only", "--max-n", "5"], "max_n"),
+        # no connected graph has 3 vertices and 4 edges
+        pytest.param(["verify", "nn1", "--n", "3"], "n=3, e=4", id="nn1-level-without-graphs"),
+        # windmill classes exist only at odd n; refused before any sweep
+        pytest.param(["verify", "windmill", "--n", "6", "--max-n", "9"], "got 6", id="windmill-even-n"),
     ],
 )
 def test_verify_empty_range_is_an_error(capsys, argv, flag):

@@ -20,6 +20,7 @@ from sepfacets.graph import (
 from sepfacets.sampler import (
     MAX_CHAIN_VERTICES,
     ChainConfig,
+    _ChainState,
     default_initial,
     figure_csv,
     iter_states,
@@ -99,6 +100,35 @@ def test_moves_are_reversible():
             assert len(back_edge) == len(fwd_edge) == 1
             assert is_connected(g)
         g = h
+
+
+@pytest.mark.parametrize("n, r", [(13, 6), (21, 10)])
+def test_chain_accepts_exactly_the_connected_swaps(n, r):
+    # the oracle redraws each proposal from a copy of the generator and
+    # tests the swapped graph with graph.is_connected, not with the chain's
+    # own search
+    state = _ChainState(n, windmill(n, r))
+    rng = Random(7)
+    outcomes = Counter()
+    for _ in range(3000):
+        before = state.graph()
+        twin = Random()
+        twin.setstate(rng.getstate())
+        e = state.pairs[state.edges[twin.randrange(len(state.edges))]]
+        f = state.pairs[state.non_edges[twin.randrange(len(state.non_edges))]]
+        swapped = Graph(n, tuple(set(before.edges) - {e} | {f}))
+        want = is_connected(swapped)
+        assert state.step(rng) == want
+        assert state.graph() == (swapped if want else before)
+        outcomes[want] += 1
+    assert outcomes[True] and outcomes[False]
+    # a missed undo would leave the neighbour bitmasks off the edge mask
+    adj = [0] * n
+    for i, (u, v) in enumerate(state.pairs):
+        if state.mask >> i & 1:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    assert state.adj == adj
 
 
 def test_proposal_pair_count_matches_degree_formula():
