@@ -15,10 +15,9 @@ import sys
 from pathlib import Path
 
 from . import conjectures
-from .conjectures import EXHAUSTIVE_GUARD
 from .enumeration import DEFAULT_GUARD, GuardExceeded, connected_graphs
 from .facets import facet_count
-from .formulas import FamilySpec
+from .formulas import FamilySpec, decimal
 from .graph import ParseError, graph_from_json, graph_to_json, parse_graph
 from .sampler import ChainConfig, figure_csv, records_jsonl, run_chain
 
@@ -43,9 +42,7 @@ def _load_graph(path: str):
     return parse_graph(text)
 
 
-def _effective_guard(no_guard: bool) -> int:
-    if no_guard:
-        return DEFAULT_GUARD
+def _effective_guard() -> int:
     env = os.environ.get(GUARD_ENV)
     if env:
         try:
@@ -55,7 +52,7 @@ def _effective_guard(no_guard: bool) -> int:
         if not 1 <= guard <= DEFAULT_GUARD:
             raise SystemExit2(f"{GUARD_ENV} must be an integer from 1 to {DEFAULT_GUARD}, got {env!r}")
         return guard
-    return EXHAUSTIVE_GUARD
+    return DEFAULT_GUARD
 
 
 def _build_parser() -> _Parser:
@@ -81,8 +78,6 @@ def _build_parser() -> _Parser:
     v.add_argument("check", choices=list(CHECKS))
     v.add_argument("--n", type=int, help="first (or only) parameter value")
     v.add_argument("--max-n", type=int, help="sweep up to this value inclusive")
-    v.add_argument("--jobs", type=int, default=1, help="worker processes for exhaustive sweeps")
-    v.add_argument("--no-guard", action="store_true", help="allow exhaustive n = 8")
     v.add_argument("--skip-leaves", action="store_true", help="nn1: skip classes with a leaf")
     v.add_argument("--bound-only", action="store_true", help="mixed-cb: maximizer-vs-bound scan only")
     v.add_argument("--samples", type=int, default=200, help="windmill sampling size beyond the guard")
@@ -109,7 +104,6 @@ def _build_parser() -> _Parser:
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--edges", type=int, required=True)
     e.add_argument("--out", required=True)
-    e.add_argument("--no-guard", action="store_true")
     return p
 
 
@@ -139,21 +133,21 @@ def _mixed_cb(args, guard):
 # check name -> runner(args, guard) returning the reports; every runner
 # looks its conjectures.check_* up at call time
 CHECKS = {
-    "nnmax": _per_n(lambda n, a, guard: conjectures.check_nn_max(n, guard=guard, jobs=a.jobs)),
+    "nnmax": _per_n(lambda n, a, guard: conjectures.check_nn_max(n, guard=guard)),
     "disjoint": _per_n(lambda n, a, guard: conjectures.check_disjoint_cycle_bound(n)),
     "fbounds": _per_n(lambda n, a, guard: conjectures.check_f_bounds(n)),
     "f-leq-m": _per_n(lambda n, a, guard: conjectures.check_general_f_leq_m(n)),
     "mixed-cb": _mixed_cb,
     "nn1": _per_n(
         lambda n, a, guard: conjectures.check_nn1_exhaustive(
-            n, guard=guard, jobs=a.jobs, skip_leaves=a.skip_leaves
+            n, guard=guard, skip_leaves=a.skip_leaves
         )
     ),
     # windmill classes exist only at odd n, so an odd --n walks n, n+2, ...
     # and an even --n fails on its first check
     "windmill": _per_n(
         lambda n, a, guard: conjectures.check_windmill(
-            n, guard=guard, jobs=a.jobs, samples=a.samples, seed=a.seed
+            n, guard=guard, samples=a.samples, seed=a.seed
         ),
         stride=2,
     ),
@@ -164,11 +158,7 @@ CHECKS = {
 
 
 def _run_verify(args) -> int:
-    guard = _effective_guard(args.no_guard)
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.jobs <= cpus:
-        raise SystemExit2(f"--jobs must be from 1 to {cpus} (the CPU count), got {args.jobs}")
-    reports = CHECKS[args.check](args, guard)
+    reports = CHECKS[args.check](args, _effective_guard())
     for rep in reports:
         print(json.dumps(rep.to_json(), sort_keys=True))
     if any(r.status == "counterexample" for r in reports):
@@ -188,11 +178,11 @@ def main(argv: list[str] | None = None) -> int:
                 g = _load_graph(args.edges)
             else:
                 g = FamilySpec.parse(args.family).graph()
-            print(facet_count(g))
+            print(decimal(facet_count(g)))
             return 0
         if args.command == "formula":
             spec = FamilySpec(args.family, tuple(args.params), args.tail)
-            print(spec.count())
+            print(decimal(spec.count()))
             return 0
         if args.command == "verify":
             return _run_verify(args)
@@ -215,10 +205,9 @@ def main(argv: list[str] | None = None) -> int:
             Path(args.out).write_text(text)
             return 0
         if args.command == "enumerate":
-            guard = _effective_guard(args.no_guard)
             lines = [
                 json.dumps(graph_to_json(g))
-                for g in connected_graphs(args.n, args.edges, guard=guard)
+                for g in connected_graphs(args.n, args.edges, guard=_effective_guard())
             ]
             Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""))
             return 0

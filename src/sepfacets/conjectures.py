@@ -14,10 +14,12 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field
 
-from .enumeration import GuardExceeded, canonical_form, connected_graphs, facet_counts
+from .enumeration import DEFAULT_GUARD, GuardExceeded, canonical_form, connected_graphs
+from .facets import facet_count
 from .formulas import (
     closed_form_count,
     cycle_with_tail_count,
+    decimal,
     double_cycle_count,
     double_cycle_max,
     parallel_paths_count,
@@ -27,7 +29,12 @@ from .formulas import (
 from .graph import Graph, biconnected_blocks, cycle_with_tail, serialize_graph, windmill
 from .sampler import ChainConfig, run_chain
 
-EXHAUSTIVE_GUARD = 7  # opt-in to 8 via --no-guard / SEP_FACETS_GUARD
+# The formula sweeps that tabulate big integers (central binomials up to
+# length L, about L*L/2 bits; nnmax's n counts of up to n bits) refuse a
+# table past this many bits before building it.  tracemalloc peaks:
+# check_identities(10000) 7.0 MB, _central_binomials(30002) 61 MB, the
+# nnmax table at n = 10001 14.2 MB.
+MAX_TABLE_BITS = 1 << 29  # 64 MiB
 
 
 @dataclass
@@ -55,7 +62,13 @@ def _finish(report: ConjectureReport, t0: float) -> ConjectureReport:
     return report
 
 
-def _exhaustive_max(rep: ConjectureReport, n: int, e: int, jobs: int, keep=None):
+def _refuse_table(what: str, bits: int) -> None:
+    if bits > MAX_TABLE_BITS:
+        cap = MAX_TABLE_BITS >> 23
+        raise GuardExceeded(f"{what} would tabulate {bits >> 23} MiB of big integers (cap {cap} MiB)")
+
+
+def _exhaustive_max(rep: ConjectureReport, n: int, e: int, keep=None):
     """Count every connected (n, e) class that keep (default: all) admits,
     cross-check each count against its closed form where one applies, and
     record the maximum and every class attaining it (the winners, also
@@ -63,16 +76,38 @@ def _exhaustive_max(rep: ConjectureReport, n: int, e: int, jobs: int, keep=None)
     classes = [g for g in connected_graphs(n, e, guard=None) if keep is None or keep(g)]
     if not classes:
         raise ValueError(f"no connected graphs with n={n}, e={e}")
-    counts = facet_counts(classes, jobs)
+    counts = [facet_count(g) for g in classes]
     for g, c in zip(classes, counts):
         cf = closed_form_count(g)
         if cf is not None and cf != c:
             raise AssertionError(f"formula/engine disagreement on {g}")
     mx = max(counts)
     winners = [g for g, c in zip(classes, counts) if c == mx]
-    rep.max = str(mx)
+    rep.max = decimal(mx)
     rep.witnesses = [serialize_graph(g) for g in winners]
     return mx, winners
+
+
+def _bounded_max(rep: ConjectureReport, items, value, bound: int, label):
+    """Evaluate value(t) for each item t in order.  The first value above
+    bound makes rep a counterexample with witness label(t) and returns
+    None; otherwise rep.max is set and (maximum, every item attaining it in
+    order, item count) is returned."""
+    best, args, count = -1, [], 0
+    for t in items:
+        v = value(t)
+        count += 1
+        if v > bound:
+            rep.status = "counterexample"
+            rep.max = decimal(v)
+            rep.witnesses = [label(t)]
+            return None
+        if v > best:
+            best, args = v, [t]
+        elif v == best:
+            args.append(t)
+    rep.max = decimal(best)
+    return best, args, count
 
 
 def _all_triples(total: int):
@@ -93,7 +128,7 @@ def _same_parity_triples(total: int):
 # n vertices, n edges: the unique-cycle maximizer
 # ---------------------------------------------------------------------------
 
-def check_nn_max(n: int, guard: int = EXHAUSTIVE_GUARD, jobs: int = 1) -> ConjectureReport:
+def check_nn_max(n: int, guard: int = DEFAULT_GUARD) -> ConjectureReport:
     """Among connected (n, n)-graphs the facet maximum is the largest odd
     cycle with a pendant path: C(n, n) for odd n, C(n, n-1) for even n.
 
@@ -103,11 +138,13 @@ def check_nn_max(n: int, guard: int = EXHAUSTIVE_GUARD, jobs: int = 1) -> Conjec
     t0 = time.perf_counter()
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
+    if n > guard:
+        _refuse_table(f"nnmax at n={n}", n * n)
     best_m = n if n % 2 == 1 else n - 1
     expected = cycle_with_tail_count(n, best_m)
-    rep = ConjectureReport("nnmax", {"n": n}, "verified", str(expected))
+    rep = ConjectureReport("nnmax", {"n": n}, "verified", decimal(expected))
     if n <= guard:
-        mx, winners = _exhaustive_max(rep, n, n, jobs)
+        mx, winners = _exhaustive_max(rep, n, n)
         want = canonical_form(cycle_with_tail(n, best_m))
         if mx != expected or want not in {canonical_form(g) for g in winners}:
             rep.status = "counterexample"
@@ -144,29 +181,19 @@ def check_disjoint_cycle_bound(n: int) -> ConjectureReport:
         raise ValueError(f"need n >= 5 for two disjoint cycles, got {n}")
     bound = double_cycle_max(n)
     rep = ConjectureReport("disjoint", {"n": n}, "verified", "0")
-    best, arg = -1, None
-    for i in range(3, n - 1):
-        for j in range(i, n + 2 - i):
-            c = double_cycle_count(n, i, j)
-            if c > bound:
-                rep.status = "counterexample"
-                rep.max = str(c)
-                rep.witnesses = [f"G({n},{i},{j})"]
-                return _finish(rep, t0)
-            if c > best:
-                best, arg = c, (i, j)
-    rep.max = str(best)
-    rep.witnesses = [f"G({n},{arg[0]},{arg[1]})"]
-    rep.params["argmax"] = list(arg)
-    rep.params["bound"] = str(bound)
+    pairs = ((i, j) for i in range(3, n - 1) for j in range(i, n + 2 - i))
+    label = lambda ij: f"G({n},{ij[0]},{ij[1]})"
+    found = _bounded_max(rep, pairs, lambda ij: double_cycle_count(n, *ij), bound, label)
+    if found is not None:
+        arg = found[1][0]
+        rep.witnesses = [label(arg)]
+        rep.params["argmax"] = list(arg)
+        rep.params["bound"] = decimal(bound)
     return _finish(rep, t0)
 
 
 def check_nn1_exhaustive(
-    n: int,
-    guard: int = EXHAUSTIVE_GUARD,
-    jobs: int = 1,
-    skip_leaves: bool = False,
+    n: int, guard: int = DEFAULT_GUARD, skip_leaves: bool = False
 ) -> ConjectureReport:
     """Exhaustively verify that no connected (n, n+1)-graph beats
     double_cycle_max(n).
@@ -177,15 +204,12 @@ def check_nn1_exhaustive(
     """
     t0 = time.perf_counter()
     if n > guard:
-        raise GuardExceeded(
-            f"exhaustive sweep at n={n} exceeds the guard ({guard}); "
-            "raise the guard to override"
-        )
+        raise GuardExceeded(f"exhaustive sweep at n={n} exceeds the guard ({guard})")
     bound = double_cycle_max(n)
     rep = ConjectureReport("nn1", {"n": n, "skip_leaves": skip_leaves}, "verified", "0")
     keep = (lambda g: min(g.degree(v) for v in range(g.n)) >= 2) if skip_leaves else None
-    mx, _ = _exhaustive_max(rep, n, n + 1, jobs, keep)
-    rep.params["bound"] = str(bound)
+    mx, _ = _exhaustive_max(rep, n, n + 1, keep)
+    rep.params["bound"] = decimal(bound)
     if mx > bound or (not skip_leaves and mx != bound):
         rep.status = "counterexample" if mx > bound else "partial"
     return _finish(rep, t0)
@@ -206,7 +230,7 @@ def check_f_bounds(n: int) -> ConjectureReport:
     expected_arg = (n - 1, 1, 1) if n % 2 == 0 else (n - 3, 2, 2)
     values = {t: same_parity_count(t) for t in _same_parity_triples(n + 1)}
     mx = max(values.values())
-    rep.max = str(mx)
+    rep.max = decimal(mx)
     if values.get(expected_arg) != mx:
         rep.status = "counterexample"
         rep.witnesses = [f"argmax {max(values, key=values.get)} beats {expected_arg}"]
@@ -232,21 +256,10 @@ def check_general_f_leq_m(n: int) -> ConjectureReport:
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     bound = double_cycle_max(n)
-    rep = ConjectureReport("f-leq-m", {"n": n, "bound": str(bound)}, "verified", "0")
-    best = -1
-    count = 0
-    for t in _same_parity_triples(n + 1):
-        v = same_parity_count(t)
-        count += 1
-        if v > bound:
-            rep.status = "counterexample"
-            rep.max = str(v)
-            rep.witnesses = [str(t)]
-            return _finish(rep, t0)
-        if v > best:
-            best = v
-    rep.max = str(best)
-    rep.params["triples"] = count
+    rep = ConjectureReport("f-leq-m", {"n": n, "bound": decimal(bound)}, "verified", "0")
+    found = _bounded_max(rep, _same_parity_triples(n + 1), same_parity_count, bound, str)
+    if found is not None:
+        rep.params["triples"] = found[2]
     return _finish(rep, t0)
 
 
@@ -273,27 +286,14 @@ def check_mixed_cb(n: int) -> ConjectureReport:
         raise ValueError(f"need n >= 10, got {n}")
     bound = double_cycle_max(n)
     expected_arg = conjectured_cb_maximizer(n)
-    rep = ConjectureReport("mixed-cb", {"n": n, "bound": str(bound)}, "verified", "0")
-    best, args = -1, []
-    count = 0
-    for t in _all_triples(n + 1):
-        v = parallel_paths_count(t)
-        count += 1
-        if v > bound:
+    rep = ConjectureReport("mixed-cb", {"n": n, "bound": decimal(bound)}, "verified", "0")
+    found = _bounded_max(rep, _all_triples(n + 1), parallel_paths_count, bound, str)
+    if found is not None:
+        _, args, rep.params["triples"] = found
+        rep.witnesses = [str(a) for a in args]
+        rep.params["conjectured"] = list(expected_arg)
+        if expected_arg not in args:
             rep.status = "counterexample"
-            rep.max = str(v)
-            rep.witnesses = [str(t)]
-            return _finish(rep, t0)
-        if v > best:
-            best, args = v, [t]
-        elif v == best:
-            args.append(t)
-    rep.max = str(best)
-    rep.witnesses = [str(a) for a in args]
-    rep.params["triples"] = count
-    rep.params["conjectured"] = list(expected_arg)
-    if expected_arg not in args:
-        rep.status = "counterexample"
     return _finish(rep, t0)
 
 
@@ -314,7 +314,9 @@ def check_cb_maximizer_bound(max_n: int, start: int = 10) -> ConjectureReport:
     rep = ConjectureReport(
         "mixed-cb", {"mode": "bound-only", "start": start, "max_n": max_n}, "verified", "0"
     )
-    c = _central_binomials(max_n // 2 + 2)
+    length = max_n // 2 + 2
+    _refuse_table(f"the bound scan to max_n={max_n}", length * length // 2)
+    c = _central_binomials(length)
     for n in range(start, max_n + 1):
         v, bound = _cb_maximizer_count(c, n), _double_cycle_max(c, n)
         if (n - start) % 97 == 0 or n == max_n:
@@ -323,10 +325,10 @@ def check_cb_maximizer_bound(max_n: int, start: int = 10) -> ConjectureReport:
                 raise AssertionError(f"central-binomial table disagrees with the formulas at n={n}")
         if v > bound:
             rep.status = "counterexample"
-            rep.max = str(v)
+            rep.max = decimal(v)
             rep.witnesses = [f"n={n} {conjectured_cb_maximizer(n)}"]
             return _finish(rep, t0)
-    rep.max = str(parallel_paths_count(conjectured_cb_maximizer(max_n)))
+    rep.max = decimal(parallel_paths_count(conjectured_cb_maximizer(max_n)))
     return _finish(rep, t0)
 
 
@@ -340,11 +342,7 @@ def _is_triangle_join(g: Graph) -> bool:
 
 
 def check_windmill(
-    n: int,
-    guard: int = EXHAUSTIVE_GUARD,
-    jobs: int = 1,
-    samples: int = 200,
-    seed: int = 2022,
+    n: int, guard: int = DEFAULT_GUARD, samples: int = 200, seed: int = 2022
 ) -> ConjectureReport:
     """For odd n and e = 3(n-1)/2 edges, no graph beats the wedge of
     (n-1)/2 triangles, whose count is 6^((n-1)/2).
@@ -360,9 +358,9 @@ def check_windmill(
     r = (n - 1) // 2
     e = 3 * r
     expected = windmill_count(n, r)
-    rep = ConjectureReport("windmill", {"n": n, "e": e}, "verified", str(expected))
+    rep = ConjectureReport("windmill", {"n": n, "e": e}, "verified", decimal(expected))
     if n <= guard:
-        mx, winners = _exhaustive_max(rep, n, e, jobs)
+        mx, winners = _exhaustive_max(rep, n, e)
         rep.params["mode"] = "exhaustive"
         if mx != expected or not all(_is_triangle_join(g) for g in winners):
             rep.status = "counterexample" if mx > expected else "partial"
@@ -374,7 +372,7 @@ def check_windmill(
         for record in run_chain(cfg):
             if record.count > expected:
                 rep.status = "counterexample"
-                rep.max = str(record.count)
+                rep.max = decimal(record.count)
                 rep.witnesses = [serialize_graph(record.graph)]
                 return _finish(rep, t0)
             best = max(best, record.count)
@@ -382,7 +380,7 @@ def check_windmill(
         rep.params["mode"] = "sampled"
         rep.params["samples"] = samples
         rep.params["seed"] = seed
-        rep.params["sample_max"] = str(best)
+        rep.params["sample_max"] = decimal(best)
     return _finish(rep, t0)
 
 
@@ -455,6 +453,7 @@ def check_identities(k_max: int = 10000) -> ConjectureReport:
     t0 = time.perf_counter()
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
+    _refuse_table(f"identities to k_max={k_max}", (k_max + 2) ** 2 // 2)
     rep = ConjectureReport("identities", {"k_max": k_max}, "verified", "0")
     c = _central_binomials(k_max + 2)
 
@@ -506,6 +505,6 @@ def check_identities(k_max: int = 10000) -> ConjectureReport:
         elif lhs >= rhs:
             return fail(f"n={n}: doubling is not strict at even n")
 
-    rep.max = str(m_any(k_max))
+    rep.max = decimal(m_any(k_max))
     rep.params["doubling_n_max"] = k_max
     return _finish(rep, t0)

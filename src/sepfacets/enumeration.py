@@ -16,14 +16,13 @@ every missing edge reaches every class.
 
 from __future__ import annotations
 
-from .facets import facet_count
 from .graph import Graph
 
-DEFAULT_GUARD = 8  # largest n enumerated by default; also the CLI's ceiling
+DEFAULT_GUARD = 8  # largest n enumerated or swept exhaustively by default
 
 
 class GuardExceeded(RuntimeError):
-    """Desk-scale resource guard tripped; pass a higher guard to override."""
+    """A desk-scale resource guard refused the request (CLI exit code 3)."""
 
 
 CanonicalForm = tuple[int, tuple[int, ...]]
@@ -168,10 +167,7 @@ def connected_graphs(n: int, e: int, guard: int | None = DEFAULT_GUARD):
     if n < 1 or e < 0:
         raise ValueError(f"need n >= 1 and e >= 0, got n={n}, e={e}")
     if guard is not None and n > guard:
-        raise GuardExceeded(
-            f"connected-graph enumeration at n={n} exceeds the guard ({guard}); "
-            "raise the guard to override"
-        )
+        raise GuardExceeded(f"connected-graph enumeration at n={n} exceeds the guard ({guard})")
     if e < n - 1 or e > n * (n - 1) // 2:
         return
     yield from _level(n, e)
@@ -194,22 +190,3 @@ def _level(n: int, e: int) -> tuple[Graph, ...]:
                     seen.setdefault(_encoding(cg), cg)
         _LEVELS[key] = tuple(seen[k] for k in sorted(seen))
     return _LEVELS[key]
-
-
-def facet_counts(graphs: list[Graph], jobs: int = 1) -> list[int]:
-    """Facet counts for many graphs, optionally sharded across processes.
-
-    Order of results always matches the input order, so parallel runs are
-    byte-identical to sequential ones.
-    """
-    if jobs <= 1 or len(graphs) < 4:
-        return [facet_count(g) for g in graphs]
-    import multiprocessing as mp
-
-    try:
-        ctx = mp.get_context("fork")
-    except ValueError:
-        ctx = mp.get_context()
-    chunk = max(1, len(graphs) // (jobs * 4))
-    with ctx.Pool(jobs) as pool:
-        return pool.map(facet_count, graphs, chunksize=chunk)

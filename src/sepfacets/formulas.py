@@ -3,7 +3,7 @@
 Every function returns the facet count of the symmetric edge polytope of
 the named family member.  The counts grow like central binomials, so all
 arithmetic stays in Python integers; callers that need text should format
-with str().  Conventions: binom(a, b) = 0 when b < 0 or b > a, and a
+with decimal().  Conventions: binom(a, b) = 0 when b < 0 or b > a, and a
 "cycle" of length 2 counts 2 (a doubled edge has the same facet-defining
 labelings as a single edge), which lets wedge-of-cycles expressions stay
 total on the degenerate shapes the recursions produce.
@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal
 from operator import add, mul
 
 from .graph import (
@@ -31,6 +32,13 @@ from .graph import (
     wedge,
     windmill,
 )
+
+
+def decimal(v: int) -> str:
+    """v in decimal, however long.  str() refuses ints of more than
+    sys.get_int_max_str_digits() digits (4300 by default), a limit that
+    stays in force for parsing input."""
+    return str(Decimal(v))
 
 
 def binom(a: int, b: int) -> int:

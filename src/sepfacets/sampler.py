@@ -68,6 +68,8 @@ class ChainConfig:
             raise ValueError(
                 f"no connected graphs with n={self.n}, e={self.e}"
             )
+        if self.e < 1:
+            raise ValueError(f"a chain needs at least one edge to move, got e={self.e}")
         if self.thin < 1:
             raise ValueError(f"thinning must be >= 1, got {self.thin}")
         if not 0 <= self.burn_in <= self.steps:

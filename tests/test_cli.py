@@ -1,5 +1,6 @@
 import json
-import os
+import sys
+from decimal import Decimal
 
 import pytest
 
@@ -108,18 +109,8 @@ def test_verify_range_emits_one_report_per_n(capsys):
     assert [json.loads(l)["params"]["n"] for l in lines] == [8, 9, 10]
 
 
-def test_verify_jobs_output_matches_sequential(capsys):
-    assert main(["verify", "nn1", "--n", "6"]) == 0
-    seq = capsys.readouterr().out
-    assert main(["verify", "nn1", "--n", "6", "--jobs", "2"]) == 0
-    par = capsys.readouterr().out
-    a, b = json.loads(seq), json.loads(par)
-    a.pop("elapsed_ms"), b.pop("elapsed_ms")
-    assert a == b
-
-
 def test_verify_guard_exit_code(capsys):
-    assert main(["verify", "nn1", "--n", "9", "--no-guard"]) == 3
+    assert main(["verify", "nn1", "--n", "9"]) == 3
     assert "guard" in capsys.readouterr().err
 
 
@@ -201,6 +192,18 @@ def test_sample_histogram_jsonl_and_initial(tmp_path):
     assert json.loads(lines[1])["count"] == "216"  # starts at the windmill
 
 
+def test_chain_without_edges_is_refused(tmp_path, capsys):
+    # the default thinning e * C(n, 2) is 0 here; the edge check comes first
+    out = tmp_path / "x.csv"
+    argv = ["sample", "--n", "1", "--edges", "0", "--samples", "2", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "at least one edge" in err
+    assert "thin" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_chain_vertex_limit_exit_code(tmp_path, capsys):
     # refused before the chain allocates its C(n, 2) pair table; zero
     # burn-in keeps even an unrefused run to one record
@@ -232,6 +235,12 @@ def test_enumerate_writes_jsonl(tmp_path):
         assert obj["n"] == 5 and len(obj["edges"]) == 6
 
 
+def test_enumerate_default_guard_admits_n8(tmp_path):
+    out = tmp_path / "classes.jsonl"
+    assert main(["enumerate", "--n", "8", "--edges", "8", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 89
+
+
 def test_enumerate_guard(tmp_path, capsys):
     rc = main(["enumerate", "--n", "9", "--edges", "9", "--out", str(tmp_path / "x")])
     assert rc == 3
@@ -242,15 +251,6 @@ def test_guard_env_override(tmp_path, monkeypatch, capsys):
     assert main(["verify", "nn1", "--n", "6"]) == 3
     monkeypatch.setenv("SEP_FACETS_GUARD", "6")
     assert main(["verify", "nn1", "--n", "6"]) == 0
-
-
-@pytest.mark.parametrize("jobs", ["0", "-2", str((os.cpu_count() or 1) + 1)])
-def test_verify_jobs_out_of_range(capsys, jobs):
-    # rejected before any worker process starts
-    assert main(["verify", "nn1", "--n", "5", "--jobs", jobs]) == 1
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert "--jobs" in err
 
 
 @pytest.mark.parametrize(
@@ -268,3 +268,47 @@ def test_guard_env_rejects_bad_values(monkeypatch, capsys, value, argv):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "SEP_FACETS_GUARD" in captured.err
+
+
+def test_counts_print_past_the_str_digit_limit(capsys):
+    # 2^14999 has 4516 digits; str() refuses more than 4300 by default
+    assert main(["formula", "tree", "15000"]) == 0
+    captured = capsys.readouterr()
+    out = captured.out.strip()
+    assert len(out) == 4516 > sys.get_int_max_str_digits()
+    assert int(Decimal(out)) == 1 << 14999
+    assert captured.err == ""
+    assert main(["verify", "mixed-cb", "--bound-only", "--max-n", "15000"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["status"] == "verified"
+    assert len(rep["max"]) > 4300
+
+
+def test_long_digit_strings_are_still_refused_as_input(capsys):
+    with pytest.raises(ValueError):
+        int("1" * 5000)  # the parsing limit stays in force
+    with pytest.raises(SystemExit) as e:
+        main(["formula", "tree", "1" * 5000])
+    assert e.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, table",
+    [
+        (["verify", "identities", "--max-n", "1000000000"], "_central_binomials"),
+        (["verify", "mixed-cb", "--bound-only", "--max-n", "2000000000"], "_central_binomials"),
+        (["verify", "nnmax", "--n", "1000000"], "cycle_with_tail_count"),
+    ],
+)
+def test_formula_tables_past_the_cap_are_refused(monkeypatch, capsys, argv, table):
+    from sepfacets import conjectures
+
+    def no_allocation(*args):
+        raise AssertionError("table built past the cap")
+
+    monkeypatch.setattr(conjectures, table, no_allocation)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "MiB" in captured.err and "Traceback" not in captured.err

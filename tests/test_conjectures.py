@@ -96,6 +96,41 @@ def test_mixed_cb_small():
         cj.check_mixed_cb(9)
 
 
+@pytest.mark.parametrize(
+    "sweep, value, n, at, witness",
+    [
+        (cj.check_disjoint_cycle_bound, "double_cycle_count", 12, (12, 5, 6), "G(12,5,6)"),
+        (cj.check_general_f_leq_m, "same_parity_count", 30, ((13, 9, 9),), "(13, 9, 9)"),
+        (cj.check_mixed_cb, "parallel_paths_count", 30, ((14, 9, 8),), "(14, 9, 8)"),
+    ],
+)
+def test_bounded_sweeps_halt_on_first_excess(monkeypatch, sweep, value, n, at, witness):
+    real = getattr(cj, value)
+    bound = double_cycle_max(n)
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cj, value, recorded)
+    assert sweep(n).status == "verified"
+    full, calls[:] = calls[:], []
+    assert at in full and full[-1] != at  # the spike is not the last item
+
+    def spiked(*args):
+        calls.append(args)
+        return bound + 1 if args == at else real(*args)
+
+    monkeypatch.setattr(cj, value, spiked)
+    rep = sweep(n)
+    assert rep.status == "counterexample"
+    assert rep.max == str(bound + 1)
+    assert rep.witnesses == [witness]
+    # the sweep halts at the spike: no later item is evaluated
+    assert calls == full[: full.index(at) + 1]
+
+
 def test_conjectured_cb_maximizer_cases():
     assert cj.conjectured_cb_maximizer(10) == (6, 4, 1)   # even n, odd half
     assert cj.conjectured_cb_maximizer(12) == (6, 6, 1)   # even n, even half
@@ -173,6 +208,31 @@ def test_identities_small():
     assert cj.check_identities(1).params["doubling_n_max"] == 1
     with pytest.raises(ValueError):
         cj.check_identities(0)
+
+
+class _Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "sweep, table, admitted",
+    [
+        (cj.check_identities, "_central_binomials", 32766),
+        (cj.check_cb_maximizer_bound, "_central_binomials", 65533),
+        (cj.check_nn_max, "cycle_with_tail_count", 23170),
+    ],
+)
+def test_table_cap_boundary(monkeypatch, sweep, table, admitted):
+    # the largest admitted request reaches its table; one more is refused
+    # first.  The table function raises, so nothing is built either way.
+    def reached(*args):
+        raise _Reached
+
+    monkeypatch.setattr(cj, table, reached)
+    with pytest.raises(_Reached):
+        sweep(admitted)
+    with pytest.raises(GuardExceeded, match="cap 64 MiB"):
+        sweep(admitted + 1)
 
 
 def test_identities_central_binomials():

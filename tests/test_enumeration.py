@@ -9,10 +9,8 @@ from sepfacets.enumeration import (
     canonical_form,
     canonical_graph,
     connected_graphs,
-    facet_counts,
     trees,
 )
-from sepfacets.facets import facet_count
 from sepfacets.graph import Graph, is_connected
 
 
@@ -88,11 +86,3 @@ def test_guard_refuses_large_n():
         list(connected_graphs(9, 9))
     with pytest.raises(GuardExceeded):
         list(connected_graphs(9, 9, guard=8))
-
-
-def test_facet_counts_parallel_matches_sequential():
-    graphs = list(connected_graphs(5, 6)) + list(connected_graphs(5, 7))
-    seq = facet_counts(graphs, jobs=1)
-    assert seq == [facet_count(g) for g in graphs]
-    par = facet_counts(graphs, jobs=2)
-    assert par == seq
