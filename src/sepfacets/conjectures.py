@@ -22,6 +22,7 @@ from .formulas import (
     decimal,
     double_cycle_count,
     double_cycle_max,
+    parallel_paths_bound,
     parallel_paths_count,
     same_parity_count,
     windmill_count,
@@ -88,15 +89,28 @@ def _exhaustive_max(rep: ConjectureReport, n: int, e: int, keep=None):
     return mx, winners
 
 
-def _bounded_max(rep: ConjectureReport, items, value, bound: int, label):
+def _bounded_max(rep: ConjectureReport, items, value, bound: int, label, prune=None):
     """Evaluate value(t) for each item t in order.  The first value above
     bound makes rep a counterexample with witness label(t) and returns
     None; otherwise rep.max is set and (maximum, every item attaining it in
-    order, item count) is returned."""
+    order, item count) is returned.
+
+    prune = (ceiling, seed), with ceiling(t) >= value(t) for every item,
+    evaluates the item seed first and skips each other item t with
+    ceiling(t) < min(value(seed), bound + 1).  Such an item is below the
+    maximum and within bound, so the outcome is the same as without."""
+    ceiling, seed = prune or (None, None)
+    if prune:
+        floor = min(seen := value(seed), bound + 1)
     best, args, count = -1, [], 0
     for t in items:
-        v = value(t)
         count += 1
+        if t == seed:
+            v = seen
+        elif ceiling and ceiling(t) < floor:
+            continue
+        else:
+            v = value(t)
         if v > bound:
             rep.status = "counterexample"
             rep.max = decimal(v)
@@ -150,7 +164,11 @@ def check_nn_max(n: int, guard: int = DEFAULT_GUARD) -> ConjectureReport:
             rep.status = "counterexample"
         rep.params["mode"] = "exhaustive"
     else:
-        values = {m: cycle_with_tail_count(n, m) for m in range(3, n + 1)}
+        c = _central_binomials(n)
+        values = {m: _cycle_count(c, m) << (n - m) for m in range(3, n + 1)}
+        for m in [*range(3, n + 1, 97), n]:  # a check that shares no code with c
+            if values[m] != cycle_with_tail_count(n, m):
+                raise AssertionError(f"central-binomial table disagrees with the formulas at n={n}, m={m}")
         for k in range(2, n // 2 + 1):
             if 2 * k <= n and values[2 * k] >= values[2 * k - 1]:
                 rep.status = "counterexample"
@@ -257,7 +275,9 @@ def check_general_f_leq_m(n: int) -> ConjectureReport:
         raise ValueError(f"need n >= 4, got {n}")
     bound = double_cycle_max(n)
     rep = ConjectureReport("f-leq-m", {"n": n, "bound": decimal(bound)}, "verified", "0")
-    found = _bounded_max(rep, _same_parity_triples(n + 1), same_parity_count, bound, str)
+    c = _central_binomials(n + 1)
+    prune = (parallel_paths_bound(c), (n - 1, 1, 1) if n % 2 == 0 else (n - 3, 2, 2))
+    found = _bounded_max(rep, _same_parity_triples(n + 1), same_parity_count, bound, str, prune)
     if found is not None:
         rep.params["triples"] = found[2]
     return _finish(rep, t0)
@@ -280,14 +300,17 @@ def conjectured_cb_maximizer(n: int) -> tuple[int, int, int]:
 def check_mixed_cb(n: int) -> ConjectureReport:
     """Sweep every path triple summing to n+1 (all parities): each count
     must stay within double_cycle_max(n) and the maximum must land on the
-    conjectured triple."""
+    conjectured triple.  That triple is evaluated first; a triple whose
+    parallel_paths_bound is below min(that count, M(n) + 1) is skipped."""
     t0 = time.perf_counter()
     if n < 10:
         raise ValueError(f"need n >= 10, got {n}")
     bound = double_cycle_max(n)
     expected_arg = conjectured_cb_maximizer(n)
     rep = ConjectureReport("mixed-cb", {"n": n, "bound": decimal(bound)}, "verified", "0")
-    found = _bounded_max(rep, _all_triples(n + 1), parallel_paths_count, bound, str)
+    c = _central_binomials(n + 1)
+    prune = (parallel_paths_bound(c), expected_arg)
+    found = _bounded_max(rep, _all_triples(n + 1), parallel_paths_count, bound, str, prune)
     if found is not None:
         _, args, rep.params["triples"] = found
         rep.witnesses = [str(a) for a in args]
@@ -400,6 +423,11 @@ def _central_binomials(limit: int) -> list[int]:
     return c
 
 
+def _cycle_count(c: list[int], m: int) -> int:
+    """cycle_count(m) for m >= 2, from the table c of _central_binomials."""
+    return c[m] if m % 2 == 0 else m * c[m - 1]
+
+
 def _double_cycle_max(c: list[int], n: int) -> int:
     """double_cycle_max(n) for n >= 3, from the table c of _central_binomials."""
     if n % 2 == 0:
@@ -460,9 +488,6 @@ def check_identities(k_max: int = 10000) -> ConjectureReport:
     def m_any(n: int) -> int:
         return _double_cycle_max(c, n)
 
-    def cyc(m: int) -> int:
-        return c[m] if m % 2 == 0 else m * c[m - 1]
-
     def f_kk1(a: int, b: int) -> int:
         # F(a, b, 1) for odd a >= b: both j-terms hit central binomials
         return 2 * c[a] * c[b]
@@ -479,7 +504,7 @@ def check_identities(k_max: int = 10000) -> ConjectureReport:
                 return fail(f"k={k}: M(2k) vs F(k+1,k-1,1)")
             if k >= 4:
                 # k*N(C_k) = 4*N(C_{k-1})
-                if k * cyc(k) != 4 * cyc(k - 1):
+                if k * _cycle_count(c, k) != 4 * _cycle_count(c, k - 1):
                     return fail(f"k={k}: cycle ratio")
             if k >= 3:
                 # 2(k+1)*M(2k-2) = k*M(2k-1)

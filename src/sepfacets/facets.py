@@ -186,19 +186,21 @@ def _frontier_order(adj: list[list[int]]) -> list[int]:
     n = len(adj)
     undeg = [len(a) for a in adj]  # unplaced-neighbor counts
     placed = [False] * n
+    near = set()  # unplaced vertices with a placed neighbor
     v = max(range(n), key=lambda x: (undeg[x], -x))
     order = []
     while True:
         order.append(v)
         placed[v] = True
+        near.discard(v)
         for u in adj[v]:
             undeg[u] -= 1
+            if not placed[u]:
+                near.add(u)
         if len(order) == n:
             return order
         best = None
-        for w in range(n):
-            if placed[w] or undeg[w] == len(adj[w]):
-                continue  # placed already, or not yet next to a placed vertex
+        for w in near:
             grow = (undeg[w] > 0) - sum(1 for u in adj[w] if placed[u] and undeg[u] == 1)
             key = (grow, undeg[w] - len(adj[w]), w)
             if best is None or key < best:

@@ -166,20 +166,33 @@ def parallel_paths_count(lengths) -> int:
     one edge of every odd path does.  Unit odd paths contract to nothing,
     collapsing the endpoints, so that branch becomes a wedge of cycles.
     """
-    pv = as_path_vector(lengths)
-    if len(pv) == 1:
-        return tree_count(pv.lengths[0] + 1)
-    evens = [x for x in pv if x % 2 == 0]
-    odds = [x for x in pv if x % 2 == 1]
+    return _paths(as_path_vector(lengths).lengths, _same_parity)
+
+
+def parallel_paths_bound(c: list[int]):
+    """lengths -> an upper bound on parallel_paths_count(lengths), for
+    unvalidated lengths >= 1 below len(c), c[m] = binom(m, m//2).  Each
+    binomial of a same-parity sum is at most its central value and sum_j
+    binom(mt, j) = 2^mt, so the dispatch takes 2^mt * prod_{k != t} c[mk]
+    for each such sum."""
+    same = lambda ls: math.prod(map(c.__getitem__, sorted(ls)[1:])) << min(ls)
+    return lambda lengths: _paths(lengths, same)
+
+
+def _paths(lengths, same) -> int:
+    """The parallel_paths_count dispatch, with same for the same-parity sum."""
+    if len(lengths) == 1:
+        return tree_count(lengths[0] + 1)
+    evens = [x for x in lengths if x % 2 == 0]
+    odds = [x for x in lengths if x % 2 == 1]
     if not evens or not odds:
-        return _same_parity(pv.lengths)
-    total = math.prod(evens) * _same_parity([x - 1 for x in evens] + odds)
-    big_odds = [x for x in odds if x > 1]
-    if len(big_odds) == len(odds):
-        total += math.prod(odds) * _same_parity(evens + [x - 1 for x in odds])
+        return same(lengths)
+    total = math.prod(evens) * same([x - 1 for x in evens] + odds)
+    if 1 not in odds:
+        total += math.prod(odds) * same(evens + [x - 1 for x in odds])
     else:
-        cycles = math.prod(cycle_count(x) for x in evens)
-        cycles *= math.prod(cycle_count(x - 1) for x in big_odds)
+        cycles = math.prod(map(cycle_count, evens))
+        cycles *= math.prod(cycle_count(x - 1) for x in odds if x > 1)
         total += math.prod(odds) * cycles
     return total
 

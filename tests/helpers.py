@@ -130,3 +130,32 @@ def mcmc_step(g: Graph, rng: Random) -> Graph:
         raise ValueError("chain states must be connected")
     state = _ChainState(g.n, g)
     return state.graph() if state.step(rng) else g
+
+
+def reference_frontier_order(adj: list[list[int]]) -> list[int]:
+    """The frontier vertex order by a full scan of every vertex for each
+    placement: the key (grow, placed-neighbor count, index) of each
+    unplaced vertex with a placed neighbor, minimum first."""
+    n = len(adj)
+    undeg = [len(a) for a in adj]
+    placed = [False] * n
+    v = max(range(n), key=lambda x: (undeg[x], -x))
+    order = []
+    while True:
+        order.append(v)
+        placed[v] = True
+        for u in adj[v]:
+            undeg[u] -= 1
+        if len(order) == n:
+            return order
+        best = None
+        for w in range(n):
+            if placed[w] or undeg[w] == len(adj[w]):
+                continue
+            grow = (undeg[w] > 0) - sum(1 for u in adj[w] if placed[u] and undeg[u] == 1)
+            key = (grow, undeg[w] - len(adj[w]), w)
+            if best is None or key < best:
+                best = key
+        if best is None:
+            raise ValueError("graph must be connected")
+        v = best[2]

@@ -1,11 +1,12 @@
 import json
+import math
 
 import pytest
 
 from sepfacets import conjectures as cj
 from sepfacets.enumeration import GuardExceeded, canonical_form
 from sepfacets.facets import facet_count
-from sepfacets.formulas import double_cycle_max, parallel_paths_count
+from sepfacets.formulas import cycle_with_tail_count, double_cycle_max, parallel_paths_count
 from sepfacets.graph import cycle, cycle_with_tail, parse_graph, wedge
 
 
@@ -105,6 +106,9 @@ def test_mixed_cb_small():
     ],
 )
 def test_bounded_sweeps_halt_on_first_excess(monkeypatch, sweep, value, n, at, witness):
+    # the pruning would skip these spikes (their ceilings are below the
+    # seed's value), so this test runs the sweeps with the ceiling off
+    _ceiling_off(monkeypatch)
     real = getattr(cj, value)
     bound = double_cycle_max(n)
     calls = []
@@ -129,6 +133,91 @@ def test_bounded_sweeps_halt_on_first_excess(monkeypatch, sweep, value, n, at, w
     assert rep.witnesses == [witness]
     # the sweep halts at the spike: no later item is evaluated
     assert calls == full[: full.index(at) + 1]
+
+
+def _ceiling_off(monkeypatch):
+    """Make every triple's ceiling infinite, so that the triple sweeps
+    evaluate every triple exactly (the seed once, first)."""
+    monkeypatch.setattr(cj, "parallel_paths_bound", lambda c: lambda t: math.inf)
+
+
+def _bare(reports):
+    return [{k: v for k, v in r.to_json().items() if k != "elapsed_ms"} for r in reports]
+
+
+@pytest.mark.parametrize(
+    "sweep, value, ns",
+    [
+        (cj.check_mixed_cb, "parallel_paths_count", range(10, 201)),
+        (cj.check_general_f_leq_m, "same_parity_count", range(4, 201)),
+    ],
+)
+def test_pruned_sweeps_match_unpruned(monkeypatch, sweep, value, ns):
+    real, calls = getattr(cj, value), []
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(cj, value, counted)
+    pruned = _bare(map(sweep, ns))
+    exact, calls[:] = len(calls), []
+    _ceiling_off(monkeypatch)
+    assert _bare(map(sweep, ns)) == pruned
+    # without the ceiling every triple is evaluated once (the seed first)
+    assert len(calls) == sum(r["params"]["triples"] for r in pruned)
+    assert exact < len(calls) // 50
+
+
+@pytest.mark.parametrize(
+    "sweep, value, seed",
+    [
+        (cj.check_general_f_leq_m, "same_parity_count", (29, 1, 1)),
+        (cj.check_mixed_cb, "parallel_paths_count", (16, 14, 1)),
+    ],
+)
+def test_pruned_sweeps_report_a_spiked_seed(monkeypatch, sweep, value, seed):
+    # a seed above the bound raises the floor to bound + 1; the sweep must
+    # still meet it in order and report it as the unpruned sweep does
+    real, bound = getattr(cj, value), double_cycle_max(30)
+    monkeypatch.setattr(cj, value, lambda t: bound + 1 if t == seed else real(t))
+    rep = sweep(30)
+    assert rep.status == "counterexample"
+    assert rep.max == str(bound + 1) and rep.witnesses == [str(seed)]
+    _ceiling_off(monkeypatch)
+    assert _bare([rep]) == _bare([sweep(30)])
+
+
+def test_mixed_cb_exact_evaluations_on_the_bench_band(monkeypatch):
+    # the benchmark's formula-sweep band: 484 of its 129197 triples are
+    # evaluated exactly; a weaker ceiling would evaluate more
+    calls = []
+    real = cj.parallel_paths_count
+    monkeypatch.setattr(cj, "parallel_paths_count", lambda t: calls.append(t) or real(t))
+    reports = [cj.check_mixed_cb(n) for n in range(150, 200)]
+    assert sum(r.params["triples"] for r in reports) == 129197
+    assert len(calls) <= 484
+
+
+def test_nn_max_table_matches_the_formula():
+    c = cj._central_binomials(300)
+    for n in range(3, 301):
+        for m in range(3, n + 1):
+            assert cj._cycle_count(c, m) << (n - m) == cycle_with_tail_count(n, m), (n, m)
+
+
+@pytest.mark.parametrize("n", [50, 51])
+def test_nn_max_table_cross_check_fires(monkeypatch, n):
+    real = cj._central_binomials
+
+    def patched(limit):
+        c = real(limit)
+        c[50] += 1  # feeds the length-n count for n = 50 and 51
+        return c
+
+    monkeypatch.setattr(cj, "_central_binomials", patched)
+    with pytest.raises(AssertionError, match=f"at n={n}, m={n}"):
+        cj.check_nn_max(n)
 
 
 def test_conjectured_cb_maximizer_cases():

@@ -8,10 +8,13 @@ from helpers import (
     reference_facet_count,
     reference_facet_labelings,
     reference_facet_subgraphs,
+    reference_frontier_order,
+    relabel,
 )
 from sepfacets.enumeration import connected_graphs
 from sepfacets.facets import (
     _contract_flat_edges,
+    _frontier_order,
     facet_count,
     facet_count_via_subgraphs,
     facet_functions,
@@ -20,6 +23,7 @@ from sepfacets.facets import (
 from sepfacets.formulas import cycle_count, parallel_paths_count, theta_count
 from sepfacets.graph import (
     Graph,
+    adjacency,
     cycle,
     double_cycle,
     parallel_paths,
@@ -225,6 +229,28 @@ def test_three_paths_agree_on_every_class_up_to_seven_vertices():
     assert len(classes) == 995
     for g in classes:
         assert facet_count(g) == len(facet_functions(g)) == facet_count_via_subgraphs(g), g
+
+
+def test_frontier_order_matches_full_scan():
+    graphs = [
+        g
+        for n in range(1, 9)
+        for e in range(n - 1, n * (n - 1) // 2 + 1)
+        for g in connected_graphs(n, e)
+    ]
+    assert len(graphs) == 12113
+    rng = Random(15)
+    for _ in range(200):  # random trees with random extra edges, n up to 80
+        n = rng.randint(2, 80)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, n))}
+        perm = list(range(n))
+        rng.shuffle(perm)
+        graphs.append(relabel(Graph(n, tuple(edges)), perm))
+    graphs += [random_connected_graph(rng, max_n=14) for _ in range(200)]
+    for g in graphs:
+        adj = adjacency(g)
+        assert _frontier_order(adj) == reference_frontier_order(adj), g
 
 
 def test_count_matches_reference_scan_on_random_graphs():

@@ -14,6 +14,7 @@ from sepfacets.formulas import (
     cycle_with_tail_count,
     double_cycle_count,
     double_cycle_max,
+    parallel_paths_bound,
     parallel_paths_count,
     same_parity_count,
     theta_count,
@@ -138,6 +139,32 @@ def test_path_kernel_matches_reference_across_the_row_cap():
     for m in (1, 2, 7, cap, cap + 1):
         for t in (1, 2, 3, 4):
             assert theta_count(m, t) == same_parity_count([m] * t), (m, t)
+
+
+def _central(limit):
+    return [math.comb(m, m // 2) for m in range(limit + 1)]
+
+
+def test_path_bound_covers_every_small_triple():
+    # the certified ceiling the triple sweeps prune with, on every triple
+    # of every parity mix with sum <= 160
+    bound = parallel_paths_bound(_central(160))
+    for total in range(3, 161):
+        for t in _triples(total):
+            assert bound(t) >= parallel_paths_count(t), t
+
+
+def test_path_bound_covers_large_triples():
+    cap = formulas.PASCAL_ROWS_MAX
+    rng = Random(8)
+    triples = [(cap + 1, cap - 1, 1), (cap + 2, cap, 2), (cap + 1, cap + 1, cap + 1)]
+    triples += [tuple(rng.randint(1, 3 * cap) for _ in range(3)) for _ in range(40)]
+    bound = parallel_paths_bound(_central(3 * cap + 3))
+    for t in triples:
+        assert bound(t) >= parallel_paths_count(t), t
+    # order-free, and exact on a single path
+    assert bound((1, 5, 2)) == bound((5, 2, 1))
+    assert bound((7,)) == parallel_paths_count((7,)) == 128
 
 
 def test_pascal_table_stays_bounded():
