@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import compress, repeat
+from operator import le
 
 from .enumeration import DEFAULT_GUARD, GuardExceeded, canonical_form, connected_graphs
 from .facets import facet_count
@@ -22,8 +24,8 @@ from .formulas import (
     decimal,
     double_cycle_count,
     double_cycle_max,
-    parallel_paths_bound,
     parallel_paths_count,
+    path_run_ceilings,
     same_parity_count,
     windmill_count,
 )
@@ -89,28 +91,25 @@ def _exhaustive_max(rep: ConjectureReport, n: int, e: int, keep=None):
     return mx, winners
 
 
-def _bounded_max(rep: ConjectureReport, items, value, bound: int, label, prune=None):
+def _bounded_max(rep: ConjectureReport, items, value, bound: int, label, seed=None):
     """Evaluate value(t) for each item t in order.  The first value above
     bound makes rep a counterexample with witness label(t) and returns
     None; otherwise rep.max is set and (maximum, every item attaining it in
-    order, item count) is returned.
+    order, item count or None) is returned.
 
-    prune = (ceiling, seed), with ceiling(t) >= value(t) for every item,
-    evaluates the item seed first and skips each other item t with
-    ceiling(t) < min(value(seed), bound + 1).  Such an item is below the
-    maximum and within bound, so the outcome is the same as without."""
-    ceiling, seed = prune or (None, None)
-    if prune:
+    With a seed, items(floor) = (kept, count): kept holds, in order, the
+    seed and every item t with value(t) >= floor (maybe others), count is
+    the number of all items.  The seed is evaluated first, then kept for
+    floor = min(value(seed), bound + 1), reusing the seed's value.  An item
+    left out is below the maximum and within bound: the outcome is as if
+    every item were swept."""
+    count = None
+    if seed is not None:
         floor = min(seen := value(seed), bound + 1)
-    best, args, count = -1, [], 0
+        items, count = items(floor)
+    best, args = -1, []
     for t in items:
-        count += 1
-        if t == seed:
-            v = seen
-        elif ceiling and ceiling(t) < floor:
-            continue
-        else:
-            v = value(t)
+        v = seen if t == seed else value(t)
         if v > bound:
             rep.status = "counterexample"
             rep.max = decimal(v)
@@ -131,6 +130,34 @@ def _all_triples(total: int):
             x1 = total - x2 - x3
             if x1 >= x2:
                 yield (x1, x2, x3)
+
+
+def _triple_survivors(total: int, same_parity: bool, seed):
+    """The items function of _bounded_max over _all_triples(total), or its
+    same-parity share, for this seed.  For x3 = z, the triples whose x2
+    has one parity form a run (total - z - b, b, z), b = b0, b0 + 2, ...
+    A run whose path_run_ceilings cap is below floor drops out whole;
+    otherwise each triple whose ceiling is below floor does.  The kept x2
+    of both runs and the seed's merge back into ascending order."""
+    c = _central_binomials(total)
+
+    def survivors(floor: int):
+        kept, count = [], 0
+        for z in range(1, total // 3 + 1):
+            if same_parity and (total - z) % 2:
+                continue  # x1 + x2 is odd, so they differ in parity
+            hi, bs = (total - z) // 2, {seed[1]} if z == seed[2] else set()
+            for b in [z] if same_parity else [z, z + 1]:
+                k = (hi - b) // 2 + 1
+                if k > 0:
+                    count += k
+                    cap, ceilings = path_run_ceilings(c, total - z - b, b, z, k)
+                    if cap >= floor:
+                        bs.update(compress(range(b, hi + 1, 2), map(le, repeat(floor), ceilings())))
+            kept += [(total - z - b, b, z) for b in sorted(bs)]
+        return kept, count
+
+    return survivors
 
 
 def _same_parity_triples(total: int):
@@ -275,9 +302,9 @@ def check_general_f_leq_m(n: int) -> ConjectureReport:
         raise ValueError(f"need n >= 4, got {n}")
     bound = double_cycle_max(n)
     rep = ConjectureReport("f-leq-m", {"n": n, "bound": decimal(bound)}, "verified", "0")
-    c = _central_binomials(n + 1)
-    prune = (parallel_paths_bound(c), (n - 1, 1, 1) if n % 2 == 0 else (n - 3, 2, 2))
-    found = _bounded_max(rep, _same_parity_triples(n + 1), same_parity_count, bound, str, prune)
+    seed = (n - 1, 1, 1) if n % 2 == 0 else (n - 3, 2, 2)
+    survivors = _triple_survivors(n + 1, True, seed)
+    found = _bounded_max(rep, survivors, same_parity_count, bound, str, seed)
     if found is not None:
         rep.params["triples"] = found[2]
     return _finish(rep, t0)
@@ -301,16 +328,16 @@ def check_mixed_cb(n: int) -> ConjectureReport:
     """Sweep every path triple summing to n+1 (all parities): each count
     must stay within double_cycle_max(n) and the maximum must land on the
     conjectured triple.  That triple is evaluated first; a triple whose
-    parallel_paths_bound is below min(that count, M(n) + 1) is skipped."""
+    path_run_ceilings ceiling is below min(that count, M(n) + 1) is
+    skipped."""
     t0 = time.perf_counter()
     if n < 10:
         raise ValueError(f"need n >= 10, got {n}")
     bound = double_cycle_max(n)
     expected_arg = conjectured_cb_maximizer(n)
     rep = ConjectureReport("mixed-cb", {"n": n, "bound": decimal(bound)}, "verified", "0")
-    c = _central_binomials(n + 1)
-    prune = (parallel_paths_bound(c), expected_arg)
-    found = _bounded_max(rep, _all_triples(n + 1), parallel_paths_count, bound, str, prune)
+    survivors = _triple_survivors(n + 1, False, expected_arg)
+    found = _bounded_max(rep, survivors, parallel_paths_count, bound, str, expected_arg)
     if found is not None:
         _, args, rep.params["triples"] = found
         rep.witnesses = [str(a) for a in args]

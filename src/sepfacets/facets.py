@@ -31,6 +31,7 @@ All arithmetic is exact integer arithmetic; nothing here touches floats.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 
 from .graph import Graph, adjacency, is_connected
 
@@ -185,29 +186,31 @@ def _frontier_order(adj: list[list[int]]) -> list[int]:
     index.  Raises if the graph is disconnected."""
     n = len(adj)
     undeg = [len(a) for a in adj]  # unplaced-neighbor counts
+    ones = [0] * n  # placed neighbors whose only unplaced neighbor this is
     placed = [False] * n
-    near = set()  # unplaced vertices with a placed neighbor
+    heap = []  # keys only fall, so a vertex's live key pops before stale ones
     v = max(range(n), key=lambda x: (undeg[x], -x))
     order = []
     while True:
         order.append(v)
         placed[v] = True
-        near.discard(v)
+        touched = [v] if undeg[v] == 1 else []
         for u in adj[v]:
             undeg[u] -= 1
-            if not placed[u]:
-                near.add(u)
+            if not placed[u] or undeg[u] == 1:
+                touched.append(u)
         if len(order) == n:
             return order
-        best = None
-        for w in near:
-            grow = (undeg[w] > 0) - sum(1 for u in adj[w] if placed[u] and undeg[u] == 1)
-            key = (grow, undeg[w] - len(adj[w]), w)
-            if best is None or key < best:
-                best = key
-        if best is None:
+        for w in touched:
+            if placed[w]:  # w is left with one unplaced neighbor: re-key that one
+                w = next(x for x in adj[w] if not placed[x])
+                ones[w] += 1
+            heappush(heap, ((undeg[w] > 0) - ones[w], undeg[w] - len(adj[w]), w))
+        while heap and placed[heap[0][2]]:
+            heappop(heap)
+        if not heap:
             raise ValueError("graph must be connected")
-        v = best[2]
+        v = heappop(heap)[2]
 
 
 def facet_count(g: Graph) -> int:

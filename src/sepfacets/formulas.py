@@ -169,14 +169,33 @@ def parallel_paths_count(lengths) -> int:
     return _paths(as_path_vector(lengths).lengths, _same_parity)
 
 
-def parallel_paths_bound(c: list[int]):
-    """lengths -> an upper bound on parallel_paths_count(lengths), for
-    unvalidated lengths >= 1 below len(c), c[m] = binom(m, m//2).  Each
-    binomial of a same-parity sum is at most its central value and sum_j
-    binom(mt, j) = 2^mt, so the dispatch takes 2^mt * prod_{k != t} c[mk]
-    for each such sum."""
-    same = lambda ls: math.prod(map(c.__getitem__, sorted(ls)[1:])) << min(ls)
-    return lambda lengths: _paths(lengths, same)
+def path_run_ceilings(c: list[int], a: int, b: int, z: int, k: int):
+    """(cap, ceilings) for the run of k triples (a - 2i, b + 2i, z), i < k,
+    with a - 2k + 2 >= b + 2k - 2 >= z >= 1 and c[m] = binom(m, m//2) up
+    to a.  ceilings() yields in order an upper bound on each triple's
+    parallel_paths_count; cap is at least each of them.
+
+    The dispatch takes 2^mt * prod_{k != t} c[mk] for each same-parity sum
+    (each binomial is at most its central value; sum_j binom(mt, j) =
+    2^mt).  As m*c[m-1] = ceil(m/2)*c[m], that is c[x]*c[y]*Q for (x, y,
+    z), with Q = 2^z if all three share a parity and otherwise the sum
+    over p in (0, 1) of K_p * prod ceil(w/2) over the w in (x, y) with
+    w % 2 == p, where K_p = z*2^(z-1) if z % 2 == p, else 2^z.
+    c[m+2]/c[m] = 4 - 2/(ceil(m/2) + 1) grows with m, so c[x]*c[y] is
+    log-convex along the run, and Q is monotone along it: both peak at an
+    end of the run."""
+    kp = [1 << z, 1 << z]
+    kp[z % 2] = z << (z - 1)
+    if a % 2 == b % 2 == z % 2:
+        q = lambda hx, hy: 1 << z  # Q from ceil(x/2) and ceil(y/2)
+    elif a % 2 == b % 2:
+        q = lambda hx, hy: kp[a % 2] * hx * hy + kp[z % 2]
+    else:
+        q = lambda hx, hy: kp[a % 2] * hx + kp[b % 2] * hy
+    ha, hb, j = (a + 1) // 2, (b + 1) // 2, k - 1
+    cap = max(c[a] * c[b], c[a - 2 * j] * c[b + 2 * j]) * max(q(ha, hb), q(ha - j, hb + j))
+    central = lambda: map(mul, map(c.__getitem__, range(a, a - 2 * k, -2)), c[b:b + 2 * k:2])
+    return cap, lambda: map(mul, central(), map(q, range(ha, ha - k, -1), range(hb, hb + k)))
 
 
 def _paths(lengths, same) -> int:

@@ -9,9 +9,11 @@ code with the package, so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from random import Random
 
+from sepfacets.formulas import _paths
 from sepfacets.graph import Graph, adjacency, is_connected
 from sepfacets.sampler import _ChainState
 
@@ -130,6 +132,17 @@ def mcmc_step(g: Graph, rng: Random) -> Graph:
         raise ValueError("chain states must be connected")
     state = _ChainState(g.n, g)
     return state.graph() if state.step(rng) else g
+
+
+def parallel_paths_bound(c: list[int]):
+    """lengths -> an upper bound on parallel_paths_count(lengths), for
+    unvalidated lengths >= 1 below len(c), c[m] = binom(m, m//2): the
+    per-triple ceiling the triple sweeps prune with, one dispatch per call.
+    Each binomial of a same-parity sum is at most its central value and
+    sum_j binom(mt, j) = 2^mt, so the dispatch takes 2^mt * prod_{k != t}
+    c[mk] for each such sum."""
+    same = lambda ls: math.prod(map(c.__getitem__, sorted(ls)[1:])) << min(ls)
+    return lambda lengths: _paths(lengths, same)
 
 
 def reference_frontier_order(adj: list[list[int]]) -> list[int]:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from helpers import parallel_paths_bound
 from sepfacets import conjectures as cj
 from sepfacets.enumeration import GuardExceeded, canonical_form
 from sepfacets.facets import facet_count
@@ -136,9 +137,9 @@ def test_bounded_sweeps_halt_on_first_excess(monkeypatch, sweep, value, n, at, w
 
 
 def _ceiling_off(monkeypatch):
-    """Make every triple's ceiling infinite, so that the triple sweeps
-    evaluate every triple exactly (the seed once, first)."""
-    monkeypatch.setattr(cj, "parallel_paths_bound", lambda c: lambda t: math.inf)
+    """Make every triple's ceiling (and every run's cap) infinite, so that
+    the triple sweeps evaluate every triple exactly (the seed once, first)."""
+    monkeypatch.setattr(cj, "path_run_ceilings", lambda c, a, b, z, k: (math.inf, lambda: [math.inf] * k))
 
 
 def _bare(reports):
@@ -196,7 +197,31 @@ def test_mixed_cb_exact_evaluations_on_the_bench_band(monkeypatch):
     monkeypatch.setattr(cj, "parallel_paths_count", lambda t: calls.append(t) or real(t))
     reports = [cj.check_mixed_cb(n) for n in range(150, 200)]
     assert sum(r.params["triples"] for r in reports) == 129197
-    assert len(calls) <= 484
+    assert len(calls) == 484
+
+
+@pytest.mark.parametrize(
+    "sweep, value, ns, triples",
+    [
+        (cj.check_mixed_cb, "parallel_paths_count", range(10, 201), cj._all_triples),
+        (cj.check_general_f_leq_m, "same_parity_count", range(4, 201), cj._same_parity_triples),
+    ],
+)
+def test_exact_evaluations_match_the_per_triple_bound(monkeypatch, sweep, value, ns, triples):
+    # the run ceilings pick, in order, the very triples the per-triple
+    # dispatch bound picks: the seed first, then every other triple whose
+    # bound reaches min(value(seed), M(n) + 1), in sweep order
+    real, calls = getattr(cj, value), []
+    monkeypatch.setattr(cj, value, lambda t: calls.append(t) or real(t))
+    for n in ns:
+        calls.clear()
+        rep = sweep(n)
+        seed = calls[0]
+        floor = min(real(seed), double_cycle_max(n) + 1)
+        bound = parallel_paths_bound(cj._central_binomials(n + 1))
+        want = [t for t in triples(n + 1) if t != seed and bound(t) >= floor]
+        assert calls == [seed, *want], n
+        assert rep.params["triples"] == sum(1 for _ in triples(n + 1)), n
 
 
 def test_nn_max_table_matches_the_formula():

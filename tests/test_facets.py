@@ -253,6 +253,32 @@ def test_frontier_order_matches_full_scan():
         assert _frontier_order(adj) == reference_frontier_order(adj), g
 
 
+def test_frontier_order_matches_full_scan_around_hubs():
+    # stars and windmills have one hub whose placed-neighbor counts move on
+    # every step; the seeded graphs have several hubs sharing their leaves
+    graphs = [windmill(n, r) for n in range(1, 302, 5) for r in {0, (n - 1) // 4, (n - 1) // 2}]
+    rng = Random(9)
+    for _ in range(60):
+        hubs = rng.randint(2, 6)
+        n = hubs + rng.randint(2, 120)
+        edges = {(h, h + 1) for h in range(hubs - 1)}
+        for v in range(hubs, n):
+            edges |= {(h, v) for h in rng.sample(range(hubs), rng.randint(1, 2))}
+        for _ in range(rng.randint(0, n // 8)):
+            edges.add(tuple(sorted(rng.sample(range(hubs, n), 2))))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        graphs.append(relabel(Graph(n, tuple(edges)), perm))
+    for g in graphs:
+        adj = adjacency(g)
+        assert _frontier_order(adj) == reference_frontier_order(adj), g
+
+
+def test_star_counts_at_4001_vertices():
+    # around a 4000-leaf hub, where the order used to cost quadratic time
+    assert facet_count(windmill(4001, 0)) == 2**4000
+
+
 def test_count_matches_reference_scan_on_random_graphs():
     rng = Random(41)
     for _ in range(300):

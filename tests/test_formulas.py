@@ -4,6 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import parallel_paths_bound
 from sepfacets import formulas
 from sepfacets.facets import facet_count
 from sepfacets.formulas import (
@@ -14,8 +15,8 @@ from sepfacets.formulas import (
     cycle_with_tail_count,
     double_cycle_count,
     double_cycle_max,
-    parallel_paths_bound,
     parallel_paths_count,
+    path_run_ceilings,
     same_parity_count,
     theta_count,
     tree_count,
@@ -145,6 +146,17 @@ def _central(limit):
     return [math.comb(m, m // 2) for m in range(limit + 1)]
 
 
+def _runs(total):
+    """The runs of the triple sweeps: (a, b, z, k) for the k triples
+    (a - 2i, b + 2i, z), i < k, of _triples(total) with third entry z and
+    middle entry of b's parity."""
+    for z in range(1, total // 3 + 1):
+        hi = (total - z) // 2
+        for b in (z, z + 1):
+            if b <= hi:
+                yield total - z - b, b, z, (hi - b) // 2 + 1
+
+
 def test_path_bound_covers_every_small_triple():
     # the certified ceiling the triple sweeps prune with, on every triple
     # of every parity mix with sum <= 160
@@ -154,17 +166,51 @@ def test_path_bound_covers_every_small_triple():
             assert bound(t) >= parallel_paths_count(t), t
 
 
+def test_run_ceilings_match_the_reference_bound():
+    # every triple with sum <= 200 lies in exactly one run; its factored
+    # ceiling equals the per-triple dispatch bound, and the run's cap is at
+    # least each ceiling of the run
+    c = _central(200)
+    bound = parallel_paths_bound(c)
+    for total in range(3, 201):
+        seen = []
+        for a, b, z, k in _runs(total):
+            run = [(a - 2 * i, b + 2 * i, z) for i in range(k)]
+            cap, ceilings = path_run_ceilings(c, a, b, z, k)
+            want = [bound(t) for t in run]
+            assert list(ceilings()) == want, run
+            assert cap >= max(want), run
+            seen += run
+        assert sorted(seen) == sorted(_triples(total)), total
+
+
+def test_run_certificate_lemma():
+    # c[m+2] / c[m] = 4 - 2/(ceil(m/2) + 1) grows with m, so log c is
+    # convex along steps of 2: the run cap may read only a run's ends
+    c = _central(5002)
+    for m in range(2, 5001):
+        assert c[m + 2] * c[m - 2] >= c[m] ** 2, m
+        assert c[m + 2] * ((m + 1) // 2 + 1) == c[m] * (4 * ((m + 1) // 2) + 2), m
+
+
 def test_path_bound_covers_large_triples():
     cap = formulas.PASCAL_ROWS_MAX
     rng = Random(8)
     triples = [(cap + 1, cap - 1, 1), (cap + 2, cap, 2), (cap + 1, cap + 1, cap + 1)]
     triples += [tuple(rng.randint(1, 3 * cap) for _ in range(3)) for _ in range(40)]
-    bound = parallel_paths_bound(_central(3 * cap + 3))
+    c = _central(3 * cap + 3)
+    bound = parallel_paths_bound(c)
     for t in triples:
         assert bound(t) >= parallel_paths_count(t), t
+        # the factored ceiling of the one-triple run agrees
+        top, ceilings = path_run_ceilings(c, *sorted(t, reverse=True), 1)
+        assert top == bound(t) and list(ceilings()) == [top], t
     # order-free, and exact on a single path
     assert bound((1, 5, 2)) == bound((5, 2, 1))
     assert bound((7,)) == parallel_paths_count((7,)) == 128
+    # the worked example: (16, 14, 1) has Q = 2*8*7 + 1 = 113, exactly
+    top, _ = path_run_ceilings(c, 16, 14, 1, 1)
+    assert top == c[16] * c[14] * 113 == 4991191920 == parallel_paths_count((16, 14, 1))
 
 
 def test_pascal_table_stays_bounded():
