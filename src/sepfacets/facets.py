@@ -236,11 +236,14 @@ def facet_count(g: Graph) -> int:
     for u in adj[order[0]]:
         remaining[u] -= 1
     frontier = [order[0]]
+    slot = [-1] * n  # frontier positions; placed neighbors of unplaced vertices stay on it
     states = {((0,), (0,)): 1}
     total = 0
     for i in range(1, n):
         v = order[i]
-        nbs = [p for p, u in enumerate(frontier) if v in adj[u]]
+        for p, u in enumerate(frontier):
+            slot[u] = p
+        nbs = [slot[u] for u in adj[v] if slot[u] >= 0]
         for u in adj[v]:
             remaining[u] -= 1
         kept = [p for p, u in enumerate(frontier) if remaining[u]]

@@ -27,11 +27,11 @@ from typing import Iterator
 
 from .facets import facet_count
 from .enumeration import GuardExceeded
-from .graph import Graph, cycle, graph_to_json, is_connected
+from .graph import Graph, adjacency, cycle, graph_to_json, is_connected
 
 RNG_ID = "python-random-mt19937"
 
-# A chain state holds all C(n, 2) vertex pairs (about 69 MB at n = 1024),
+# A chain state holds all C(n, 2) vertex pairs (about 54 MB at n = 1024),
 # so larger n is refused before anything is allocated.
 MAX_CHAIN_VERTICES = 1024
 
@@ -143,100 +143,107 @@ def default_initial(n: int, e: int) -> Graph:
 
 class _ChainState:
     """Edge set as a bitmask over the C(n, 2) vertex pairs, with sorted
-    index lists for uniform edge / non-edge draws and one neighbour
-    bitmask per vertex for the connectivity test."""
+    index lists for uniform edge / non-edge draws and, for the
+    connectivity test, one neighbour bitmask per vertex keyed by that
+    vertex's own bit."""
 
     def __init__(self, n: int, g: Graph):
         self.n = n
-        self.pairs = tuple((u, v) for u in range(n) for v in range(u + 1, n))
+        vs = list(range(n))  # one int object per vertex, shared by all its pairs
+        self.pairs = tuple((u, v) for u in vs for v in vs[u + 1 :])
         have = set(g.edges)
         self.edges: list[int] = []
         self.non_edges: list[int] = []
         for i, p in enumerate(self.pairs):
             (self.edges if p in have else self.non_edges).append(i)
         self.mask = sum(1 << i for i in self.edges)
-        self.adj = [0] * n
-        for u, v in g.edges:
-            self._flip(u, v)
+        self.bit = [1 << v for v in vs]
+        self.adj = {1 << v: sum(1 << u for u in nb) for v, nb in enumerate(adjacency(g))}
 
     def graph(self) -> Graph:
         return Graph(self.n, tuple(self.pairs[i] for i in self.edges))
 
-    def _flip(self, u: int, v: int) -> None:
-        self.adj[u] ^= 1 << v
-        self.adj[v] ^= 1 << u
+    def advance(self, rng: Random, steps: int) -> int:
+        """Run `steps` edge-replacement proposals; return how many were accepted.
 
-    def _reaches(self, a: int, b: int) -> bool:
-        """Breadth-first search from a that stops as soon as b is seen."""
-        adj = self.adj
-        target = 1 << b
-        seen = frontier = 1 << a
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= adj[low.bit_length() - 1]
-                frontier ^= low
-            if nxt & target:
-                return True
-            frontier = nxt & ~seen
-            seen |= frontier
-        return False
+        Each draw spells out CPython's `rng.randrange(length)`, so the random
+        stream is the same.  The current graph is connected, so the swap keeps
+        it connected exactly when the removed edge's ends a, b still meet: at
+        a common neighbour, or when balls grown around a and b level by level
+        (the smaller frontier first) touch before either stops growing."""
+        edges, non_edges = self.edges, self.non_edges
+        if not non_edges:
+            return 0  # complete graph: the chain is frozen
+        pairs, bit, adj = self.pairs, self.bit, self.adj
+        getrandbits = rng.getrandbits
+        n_e, n_f = len(edges), len(non_edges)
+        k_e, k_f = n_e.bit_length(), n_f.bit_length()
+        flips = accepted = 0
+        for _ in range(steps):
+            e_at, f_at = n_e, n_f
+            while e_at >= n_e:
+                e_at = getrandbits(k_e)
+            while f_at >= n_f:
+                f_at = getrandbits(k_f)
+            e_idx, f_idx = edges[e_at], non_edges[f_at]
+            (a, b), (c, d) = pairs[e_idx], pairs[f_idx]
+            A, B, C, D = bit[a], bit[b], bit[c], bit[d]
+            adj[A], adj[B] = adj[A] ^ B, adj[B] ^ A
+            adj[C], adj[D] = adj[C] ^ D, adj[D] ^ C
+            near, far = adj[A], adj[B]
+            if not near & far:
+                seen_near, seen_far = near | A, far | B
+                while near and far:
+                    if near.bit_count() > far.bit_count():
+                        near, far, seen_near, seen_far = far, near, seen_far, seen_near
+                    nxt = 0
+                    while near:
+                        low = near & -near
+                        nxt |= adj[low]
+                        near ^= low
+                    if nxt & seen_far:
+                        break
+                    near = nxt & ~seen_near
+                    seen_near |= near
+                else:  # one ball stopped growing: a and b are cut apart
+                    adj[A], adj[B] = adj[A] ^ B, adj[B] ^ A
+                    adj[C], adj[D] = adj[C] ^ D, adj[D] ^ C
+                    continue
+            flips ^= (1 << e_idx) | (1 << f_idx)
+            accepted += 1
+            edges.pop(e_at)
+            insort(edges, f_idx)
+            non_edges.pop(f_at)
+            insort(non_edges, e_idx)
+        self.mask ^= flips
+        return accepted
 
-    def step(self, rng: Random) -> bool:
-        """One edge-replacement proposal; True when the move was accepted.
 
-        The current graph is connected, so the swapped graph is connected
-        exactly when the removed edge's ends a, b still reach each other."""
-        if not self.non_edges:
-            return False  # complete graph: the chain is frozen
-        e_at = rng.randrange(len(self.edges))
-        f_at = rng.randrange(len(self.non_edges))
-        e_idx = self.edges[e_at]
-        f_idx = self.non_edges[f_at]
-        a, b = self.pairs[e_idx]
-        c, d = self.pairs[f_idx]
-        self._flip(a, b)
-        self._flip(c, d)
-        if not self._reaches(a, b):
-            self._flip(a, b)
-            self._flip(c, d)
-            return False
-        self.mask ^= (1 << e_idx) | (1 << f_idx)
-        self.edges.pop(e_at)
-        insort(self.edges, f_idx)
-        self.non_edges.pop(f_at)
-        insort(self.non_edges, e_idx)
-        return True
-
-
-def _walk(cfg: ChainConfig) -> Iterator[tuple[int, _ChainState]]:
-    """The one chain set-up: the state after each of steps 0..cfg.steps,
-    step 0 being the initial state.  The same object is yielded every time."""
+def _start(cfg: ChainConfig) -> tuple[_ChainState, Random]:
+    """The one chain set-up: the initial state and the seeded generator."""
     start = cfg.initial if cfg.initial is not None else default_initial(cfg.n, cfg.e)
-    state = _ChainState(cfg.n, start)
-    rng = Random(cfg.seed)
-    yield 0, state
-    for step in range(1, cfg.steps + 1):
-        state.step(rng)
-        yield step, state
+    return _ChainState(cfg.n, start), Random(cfg.seed)
 
 
 def iter_states(cfg: ChainConfig) -> Iterator[tuple[int, int, tuple[tuple[int, int], ...]]]:
     """Every chain state in order: (step, edge bitmask, the pair table
     that the bitmask indexes).  Step 0 is the initial state; facet counts are not
     computed here, so uniformity tests can consume millions of steps."""
-    for step, state in _walk(cfg):
+    state, rng = _start(cfg)
+    yield 0, state.mask, state.pairs
+    for step in range(1, cfg.steps + 1):
+        state.advance(rng, 1)
         yield step, state.mask, state.pairs
 
 
 def run_chain(cfg: ChainConfig) -> Iterator[SampleRecord]:
     """Run the chain, emitting a record at the end of burn-in and then one
     every `thin` steps, each with its exact facet count."""
-    for step, state in _walk(cfg):
-        if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.thin == 0:
-            g = state.graph()
-            yield SampleRecord(step, facet_count(g), g)
+    state, rng = _start(cfg)
+    for step in range(cfg.burn_in, cfg.steps + 1, cfg.thin):
+        state.advance(rng, cfg.thin if step > cfg.burn_in else step)
+        g = state.graph()
+        yield SampleRecord(step, facet_count(g), g)
 
 
 # ---------------------------------------------------------------------------

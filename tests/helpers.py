@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import insort
 from collections import deque
 from random import Random
+from typing import Iterator
 
 from sepfacets.formulas import _paths
 from sepfacets.graph import Graph, adjacency, is_connected
-from sepfacets.sampler import _ChainState
+from sepfacets.sampler import ChainConfig, default_initial
 
 
 def _spans_connected(n: int, edges) -> bool:
@@ -125,13 +127,87 @@ def is_bipartite(g: Graph) -> bool:
     return two_coloring(g) is not None
 
 
+def _pairs(n: int) -> list[tuple[int, int]]:
+    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+def mask_graph(n: int, mask: int) -> Graph:
+    """The graph on n vertices whose edges are the pairs (u, v), u < v in
+    lexicographic order, that the bits of an edge mask select."""
+    return Graph(n, tuple(p for i, p in enumerate(_pairs(n)) if mask >> i & 1))
+
+
+def reference_walk(g: Graph, rng: Random) -> Iterator[int]:
+    """The chain in its per-step form, kept as the reference for the kernel:
+    the edge mask of g, then the mask after each step, forever.  Draws go
+    through rng.randrange; a proposal is accepted when a breadth-first
+    search from one end of the removed edge, over a list of neighbour
+    bitmasks, reaches the other end."""
+    n = g.n
+    pairs = _pairs(n)
+    have = set(g.edges)
+    edges = [i for i, p in enumerate(pairs) if p in have]
+    non_edges = [i for i, p in enumerate(pairs) if p not in have]
+    mask = sum(1 << i for i in edges)
+    adj = [0] * n
+
+    def flip(u: int, v: int) -> None:
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+
+    def reaches(a: int, b: int) -> bool:
+        seen = frontier = 1 << a
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            if nxt >> b & 1:
+                return True
+            frontier = nxt & ~seen
+            seen |= frontier
+        return False
+
+    for u, v in g.edges:
+        flip(u, v)
+    while True:
+        yield mask
+        if not non_edges:
+            continue  # complete graph: the chain is frozen
+        e_at = rng.randrange(len(edges))
+        f_at = rng.randrange(len(non_edges))
+        e_idx, f_idx = edges[e_at], non_edges[f_at]
+        (a, b), (c, d) = pairs[e_idx], pairs[f_idx]
+        flip(a, b)
+        flip(c, d)
+        if not reaches(a, b):
+            flip(a, b)
+            flip(c, d)
+            continue
+        mask ^= (1 << e_idx) | (1 << f_idx)
+        edges.pop(e_at)
+        insort(edges, f_idx)
+        non_edges.pop(f_at)
+        insort(non_edges, e_idx)
+
+
+def reference_chain(cfg: ChainConfig) -> Iterator[int]:
+    """The reference masks of a configured chain: the initial state's, then
+    the mask after each of its cfg.steps steps."""
+    start = cfg.initial if cfg.initial is not None else default_initial(cfg.n, cfg.e)
+    return itertools.islice(reference_walk(start, Random(cfg.seed)), cfg.steps + 1)
+
+
 def mcmc_step(g: Graph, rng: Random) -> Graph:
-    """One single-edge-replacement step of the sampling chain from g;
-    returns g itself when the proposal is rejected or no non-edge exists."""
+    """One single-edge-replacement step of the sampling chain from g, by
+    the reference walk; returns g itself when the proposal is rejected or
+    no non-edge exists."""
     if not is_connected(g):
         raise ValueError("chain states must be connected")
-    state = _ChainState(g.n, g)
-    return state.graph() if state.step(rng) else g
+    walk = reference_walk(g, rng)
+    next(walk)  # g's own mask; the step draws on the next call
+    return mask_graph(g.n, next(walk))
 
 
 def parallel_paths_bound(c: list[int]):

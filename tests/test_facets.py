@@ -279,6 +279,11 @@ def test_star_counts_at_4001_vertices():
     assert facet_count(windmill(4001, 0)) == 2**4000
 
 
+def test_star_counts_at_8001_vertices():
+    # each leaf reads its placed neighbor from its own list, not from the hub's
+    assert facet_count(windmill(8001, 0)) == 2**8000
+
+
 def test_count_matches_reference_scan_on_random_graphs():
     rng = Random(41)
     for _ in range(300):

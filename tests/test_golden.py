@@ -65,6 +65,7 @@ VERIFY = [
     "fbounds --n 4 --max-n 30", "f-leq-m --n 4 --max-n 30", "mixed-cb --n 10 --max-n 30",
     "mixed-cb --bound-only --max-n 500", "identities --max-n 300",
     "windmill --n 21 --samples 40 --seed 7", "nnmax --n 8", "nn1 --n 8",
+    "windmill --n 31 --samples 8 --seed 7",
 ]
 ELAPSED = re.compile(r'"elapsed_ms": \d+, ')
 

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from helpers import mcmc_step
+from helpers import mask_graph, mcmc_step, reference_chain
 from sepfacets.enumeration import GuardExceeded
 from sepfacets.facets import facet_count
 from sepfacets.graph import (
@@ -21,6 +21,7 @@ from sepfacets.sampler import (
     MAX_CHAIN_VERTICES,
     ChainConfig,
     _ChainState,
+    _start,
     default_initial,
     figure_csv,
     iter_states,
@@ -118,7 +119,7 @@ def test_chain_accepts_exactly_the_connected_swaps(n, r):
         f = state.pairs[state.non_edges[twin.randrange(len(state.non_edges))]]
         swapped = Graph(n, tuple(set(before.edges) - {e} | {f}))
         want = is_connected(swapped)
-        assert state.step(rng) == want
+        assert (state.advance(rng, 1) == 1) == want
         assert state.graph() == (swapped if want else before)
         outcomes[want] += 1
     assert outcomes[True] and outcomes[False]
@@ -128,7 +129,72 @@ def test_chain_accepts_exactly_the_connected_swaps(n, r):
         if state.mask >> i & 1:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-    assert state.adj == adj
+    assert state.adj == {1 << v: adj[v] for v in range(n)}
+
+
+REFERENCE_CHAINS = [
+    ChainConfig(5, 6, 20_000, 0, 1, 3),
+    ChainConfig(13, 18, 30_000, 0, 1, 7, windmill(13, 6)),
+    ChainConfig(21, 30, 20_000, 0, 1, 8),
+    ChainConfig(12, 11, 20_000, 0, 1, 9),  # trees: every removed edge is a bridge
+    ChainConfig(8, 20, 20_000, 0, 1, 6),
+    ChainConfig(4, 6, 200, 0, 1, 5),  # complete: frozen
+]
+
+
+@pytest.mark.parametrize("cfg", REFERENCE_CHAINS, ids=lambda c: f"n{c.n}e{c.e}")
+def test_advance_matches_the_reference_walk(cfg):
+    want = list(reference_chain(cfg))
+    assert [mask for _step, mask, _pairs in iter_states(cfg)] == want
+    # the same masks when advance runs many proposals per call
+    (state, rng), chunks = _start(cfg), Random(cfg.n)
+    step = 0
+    while step < cfg.steps:
+        k = min(chunks.randint(0, 300), cfg.steps - step)
+        moved = sum(a != b for a, b in zip(want[step : step + k], want[step + 1 : step + k + 1]))
+        assert state.advance(rng, k) == moved
+        step += k
+        assert state.mask == want[step]
+        assert state.graph() == mask_graph(cfg.n, want[step])
+
+
+@pytest.mark.parametrize(
+    "burn_in, thin, steps",
+    [(0, 1, 30), (0, 50, 400), (17, 29, 1000), (400, 1, 420), (333, 100, 1200), (1000, 1000, 1000)],
+)
+def test_run_chain_records_match_the_reference_walk(burn_in, thin, steps):
+    # 1000 and 1200 are not burn_in plus a multiple of thin for (17, 29) and (333, 100)
+    cfg = ChainConfig(9, 12, steps, burn_in, thin, 4, windmill(9, 4))
+    masks = list(reference_chain(cfg))
+    want = [
+        (step, mask_graph(9, masks[step]))
+        for step in range(burn_in, steps + 1)
+        if (step - burn_in) % thin == 0
+    ]
+    records = list(run_chain(cfg))
+    assert [(r.step, r.graph) for r in records] == want
+    assert all(r.count == facet_count(r.graph) for r in records)
+
+
+def test_getrandbits_loop_is_randrange():
+    # advance draws below m with getrandbits(m.bit_length()) until one falls
+    # below m, which is how CPython's randrange(m) consumes the stream
+    for m in range(1, 201):
+        ours, theirs = Random(m), Random(m)
+        k = m.bit_length()
+        for _ in range(2000):
+            r = ours.getrandbits(k)
+            while r >= m:
+                r = ours.getrandbits(k)
+            assert r == theirs.randrange(m)
+
+
+def test_bench_chain_accepts_199406_moves():
+    # the windmill-sampling chain of the benchmark at seed 1: 159 calls of thin steps
+    cfg = ChainConfig.for_samples(13, 18, 160, seed=1, burn_in=0, initial=windmill(13, 6))
+    state, rng = _start(cfg)
+    accepted = sum(state.advance(rng, cfg.thin) for _ in range(159))
+    assert (cfg.steps, accepted) == (223236, 199406)
 
 
 def test_proposal_pair_count_matches_degree_formula():
