@@ -139,6 +139,7 @@ def _triple_survivors(total: int, same_parity: bool, seed):
     A run whose path_run_ceilings cap is below floor drops out whole;
     otherwise each triple whose ceiling is below floor does.  The kept x2
     of both runs and the seed's merge back into ascending order."""
+    _refuse_table(f"the triple sweep at sum {total}", total * total // 2)
     c = _central_binomials(total)
 
     def survivors(floor: int):
@@ -300,10 +301,10 @@ def check_general_f_leq_m(n: int) -> ConjectureReport:
     t0 = time.perf_counter()
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
-    bound = double_cycle_max(n)
-    rep = ConjectureReport("f-leq-m", {"n": n, "bound": decimal(bound)}, "verified", "0")
     seed = (n - 1, 1, 1) if n % 2 == 0 else (n - 3, 2, 2)
     survivors = _triple_survivors(n + 1, True, seed)
+    bound = double_cycle_max(n)
+    rep = ConjectureReport("f-leq-m", {"n": n, "bound": decimal(bound)}, "verified", "0")
     found = _bounded_max(rep, survivors, same_parity_count, bound, str, seed)
     if found is not None:
         rep.params["triples"] = found[2]
@@ -333,10 +334,10 @@ def check_mixed_cb(n: int) -> ConjectureReport:
     t0 = time.perf_counter()
     if n < 10:
         raise ValueError(f"need n >= 10, got {n}")
-    bound = double_cycle_max(n)
     expected_arg = conjectured_cb_maximizer(n)
-    rep = ConjectureReport("mixed-cb", {"n": n, "bound": decimal(bound)}, "verified", "0")
     survivors = _triple_survivors(n + 1, False, expected_arg)
+    bound = double_cycle_max(n)
+    rep = ConjectureReport("mixed-cb", {"n": n, "bound": decimal(bound)}, "verified", "0")
     found = _bounded_max(rep, survivors, parallel_paths_count, bound, str, expected_arg)
     if found is not None:
         _, args, rep.params["triples"] = found

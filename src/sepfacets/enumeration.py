@@ -16,6 +16,8 @@ every missing edge reaches every class.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .graph import Graph
 
 DEFAULT_GUARD = 8  # largest n enumerated or swept exhaustively by default
@@ -94,9 +96,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
                     best[k] = infinity
             used[v] = True
             placed[pos] = v
-            if pos + 1 == n:
-                pass  # best already holds the full minimum prefix
-            else:
+            if pos + 1 < n:  # at the last position best already holds the minimum
                 dfs(pos + 1)
             used[v] = False
 
@@ -139,20 +139,25 @@ _TREES: dict[int, tuple[Graph, ...]] = {1: (Graph(1, ()),)}
 _LEVELS: dict[tuple[int, int], tuple[Graph, ...]] = {}
 
 
+def _classes(candidates) -> tuple[Graph, ...]:
+    """One canonical representative per isomorphism class among the
+    candidate graphs, in canonical-form order."""
+    seen: dict[CanonicalForm, Graph] = {}
+    for g in candidates:
+        cg = canonical_graph(g)
+        seen.setdefault(_encoding(cg), cg)
+    return tuple(seen[key] for key in sorted(seen))
+
+
 def trees(n: int) -> tuple[Graph, ...]:
     """All trees on n vertices, one canonical representative per class."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     for k in range(2, n + 1):
-        if k in _TREES:
-            continue
-        seen: dict[CanonicalForm, Graph] = {}
-        for t in _TREES[k - 1]:
-            for v in range(t.n):
-                bigger = Graph(k, t.edges + ((v, k - 1),))
-                cg = canonical_graph(bigger)
-                seen.setdefault(_encoding(cg), cg)
-        _TREES[k] = tuple(seen[key] for key in sorted(seen))
+        if k not in _TREES:
+            _TREES[k] = _classes(
+                Graph(k, t.edges + ((v, k - 1),)) for t in _TREES[k - 1] for v in range(t.n)
+            )
     return _TREES[n]
 
 
@@ -178,15 +183,10 @@ def _level(n: int, e: int) -> tuple[Graph, ...]:
         return trees(n)
     key = (n, e)
     if key not in _LEVELS:
-        seen: dict[CanonicalForm, Graph] = {}
-        for g in _level(n, e - 1):
-            present = set(g.edges)
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if (u, v) in present:
-                        continue
-                    bigger = Graph(n, g.edges + ((u, v),))
-                    cg = canonical_graph(bigger)
-                    seen.setdefault(_encoding(cg), cg)
-        _LEVELS[key] = tuple(seen[k] for k in sorted(seen))
+        _LEVELS[key] = _classes(
+            Graph(n, g.edges + (uv,))
+            for g in _level(n, e - 1)
+            for uv in combinations(range(n), 2)
+            if uv not in g.edges
+        )
     return _LEVELS[key]

@@ -21,9 +21,11 @@ search code and must always agree:
   unassigned vertices.
 
 * :func:`facet_count_via_subgraphs` first lists the maximal connected
-  spanning bipartite subgraphs (every E_f is one of these), contracts the
-  remaining edges, and counts the labelings in which *every* edge of the
-  contraction is a unit step.
+  spanning bipartite subgraphs (every E_f is one of these) by the same
+  pruned walk over 2-colourings, contracts the remaining edges, and
+  counts the labelings in which *every* edge of the contraction is a
+  unit step, as a product over its biconnected blocks.  Its work follows
+  the number of subgraphs and their blocks, not the number of facets.
 
 All arithmetic is exact integer arithmetic; nothing here touches floats.
 """
@@ -32,8 +34,9 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
+from itertools import compress
 
-from .graph import Graph, adjacency, is_connected
+from .graph import Graph, adjacency, biconnected_blocks
 
 
 def _bfs_order(adj: list[list[int]]) -> tuple[list[int], list[list[int]]]:
@@ -56,9 +59,12 @@ def _bfs_order(adj: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     return order, prev
 
 
-def _walk_facet_labelings(g: Graph, on_leaf) -> None:
+def _walk_facet_labelings(g: Graph, on_leaf, two_colour: bool = False) -> None:
     """Drive the DFS over candidate labelings, calling on_leaf(f) for each
-    labeling whose unit-difference edge set spans and connects g.
+    labeling whose unit-difference edge set spans and connects g.  With
+    two_colour every vertex after the root tries labels 0 and 1 instead,
+    so a unit difference means the colours differ and the leaves are the
+    2-colourings whose bichromatic edges span and connect g.
 
     The union-find over unit-difference edges is maintained incrementally
     with a rollback trail.  A component all of whose members have no
@@ -134,13 +140,16 @@ def _walk_facet_labelings(g: Graph, on_leaf) -> None:
     def rec(idx: int) -> None:
         v = order[idx]
         ps = prev[idx]
-        lo, hi = f[ps[0]] - 1, f[ps[0]] + 1
-        for u in ps[1:]:
-            fu = f[u]
-            if fu - 1 > lo:
-                lo = fu - 1
-            if fu + 1 < hi:
-                hi = fu + 1
+        if two_colour:
+            lo, hi = 0, 1
+        else:
+            lo, hi = f[ps[0]] - 1, f[ps[0]] + 1
+            for u in ps[1:]:
+                fu = f[u]
+                if fu - 1 > lo:
+                    lo = fu - 1
+                if fu + 1 < hi:
+                    hi = fu + 1
         last = idx + 1 == n
         for label in range(lo, hi + 1):
             mark = len(trail)
@@ -289,49 +298,20 @@ def facet_count(g: Graph) -> int:
 def facet_subgraphs(g: Graph) -> list[tuple[tuple[int, int], ...]]:
     """Maximal connected spanning bipartite subgraphs of g, each exactly once.
 
-    Such a subgraph is determined by the 2-coloring it induces: it is the
-    full bichromatic edge set of a vertex coloring under which it comes out
-    spanning and connected.  So it suffices to scan the 2^(n-1) colorings
-    with vertex 0 pinned to color 0.  Results are ordered by edge bitmask
-    (bit i = presence of g.edges[i]).
+    Such a subgraph is the full bichromatic edge set of the one 2-colouring
+    (vertex 0 coloured 0) under which it spans and connects g, so the
+    two-colour walk lists each exactly once.  Results are ordered by edge
+    bitmask (bit i = presence of g.edges[i]).
     """
-    n = g.n
-    if n == 1:
+    if g.n == 1:
         return [()]
-    if not is_connected(g):
-        raise ValueError("facet subgraphs are defined for connected graphs")
-    edge_index = {e: i for i, e in enumerate(g.edges)}
-    adj = adjacency(g)
     found: dict[int, tuple[tuple[int, int], ...]] = {}
-    for mask in range(1 << (n - 1)):
-        color = [0] * n
-        for i in range(n - 1):
-            color[i + 1] = (mask >> i) & 1
-        sub = [(u, v) for u, v in g.edges if color[u] != color[v]]
-        if len(sub) < n - 1:
-            continue  # too few edges to span
-        # connectivity over all n vertices using only bichromatic edges
-        nbr: list[list[int]] = [[] for _ in range(n)]
-        for u, v in sub:
-            nbr[u].append(v)
-            nbr[v].append(u)
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            v = stack.pop()
-            for w in nbr[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        if count != n:
-            continue
-        key = 0
-        for e in sub:
-            key |= 1 << edge_index[e]
-        found[key] = tuple(sub)
+
+    def keep(colour: list[int]) -> None:
+        bits = [colour[u] != colour[v] for u, v in g.edges]
+        found[sum(1 << i for i, b in enumerate(bits) if b)] = tuple(compress(g.edges, bits))
+
+    _walk_facet_labelings(g, keep, two_colour=True)
     return [found[k] for k in sorted(found)]
 
 
@@ -366,31 +346,38 @@ def _contract_flat_edges(g: Graph, sub: tuple[tuple[int, int], ...]):
 
 def _count_all_unit_labelings(k: int, edges: list[tuple[int, int]]) -> int:
     """Labelings of a connected k-vertex graph in which every edge is a
-    unit step, root pinned to 0 (i.e. counted up to an additive constant)."""
-    if k == 1:
-        return 1
-    adj: list[list[int]] = [[] for _ in range(k)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    order, prev = _bfs_order(adj)
-    f = [0] * k
-    total = 0
+    unit step, counted up to an additive constant.  Blocks meet at cut
+    vertices, so the count is the product over the biconnected blocks of
+    each block's count with one vertex pinned to 0."""
+    total = 1
+    for block in biconnected_blocks(Graph(k, tuple(edges))):
+        if len(block) == 1:  # a bridge steps up or down
+            total *= 2
+            continue
+        index = {v: i for i, v in enumerate({v for e in block for v in e})}
+        adj: list[list[int]] = [[] for _ in index]
+        for u, v in block:
+            adj[index[u]].append(index[v])
+            adj[index[v]].append(index[u])
+        order, prev = _bfs_order(adj)
+        f = [0] * len(adj)
+        count = 0
 
-    def rec(idx: int) -> None:
-        nonlocal total
-        ps = prev[idx]
-        base = f[ps[0]]
-        for label in (base - 1, base + 1):
-            if any(abs(f[u] - label) != 1 for u in ps[1:]):
-                continue
-            f[order[idx]] = label
-            if idx + 1 == k:
-                total += 1
-            else:
-                rec(idx + 1)
+        def rec(idx: int) -> None:
+            nonlocal count
+            ps = prev[idx]
+            base = f[ps[0]]
+            for label in (base - 1, base + 1):
+                if any(abs(f[u] - label) != 1 for u in ps[1:]):
+                    continue
+                f[order[idx]] = label
+                if idx + 1 == len(adj):
+                    count += 1
+                else:
+                    rec(idx + 1)
 
-    rec(1)
+        rec(1)
+        total *= count
     return total
 
 

@@ -298,6 +298,8 @@ def test_long_digit_strings_are_still_refused_as_input(capsys):
         (["verify", "identities", "--max-n", "1000000000"], "_central_binomials"),
         (["verify", "mixed-cb", "--bound-only", "--max-n", "2000000000"], "_central_binomials"),
         (["verify", "nnmax", "--n", "1000000"], "cycle_with_tail_count"),
+        (["verify", "mixed-cb", "--n", "1000000"], "_central_binomials"),
+        (["verify", "f-leq-m", "--n", "1000000"], "_central_binomials"),
     ],
 )
 def test_formula_tables_past_the_cap_are_refused(monkeypatch, capsys, argv, table):

@@ -20,7 +20,7 @@ from sepfacets.facets import (
     facet_functions,
     facet_subgraphs,
 )
-from sepfacets.formulas import cycle_count, parallel_paths_count, theta_count
+from sepfacets.formulas import closed_form_count, cycle_count, parallel_paths_count, theta_count
 from sepfacets.graph import (
     Graph,
     adjacency,
@@ -32,6 +32,7 @@ from sepfacets.graph import (
     wedge,
     windmill,
 )
+from sepfacets.sampler import ChainConfig, run_chain
 
 # expected values below were produced by the brute-force oracle in
 # helpers.py (full labeling scan) and frozen here
@@ -115,7 +116,7 @@ def test_too_few_edges_rejected_before_allocation(monkeypatch):
         raise AssertionError("per-vertex structures built for a disconnected graph")
 
     monkeypatch.setattr(facets, "adjacency", no_allocation)
-    monkeypatch.setattr(facets, "is_connected", no_allocation)
+    monkeypatch.setattr(facets, "biconnected_blocks", no_allocation)
     huge = Graph(10**9, ((0, 1),))
     for count in (facet_count, facet_count_via_subgraphs):
         with pytest.raises(ValueError, match="connected"):
@@ -178,9 +179,15 @@ def test_facet_functions_are_lexicographically_sorted():
 
 def test_facet_subgraphs_match_reference_powerset():
     rng = Random(12)
-    for _ in range(25):
-        g = random_connected_graph(rng, max_n=5)
-        assert set(facet_subgraphs(g)) == reference_facet_subgraphs(g)
+    graphs = [random_connected_graph(rng, max_n=5) for _ in range(25)]
+    sparse = [g for n in range(3, 10) for e in (n - 1, n, n + 1) for g in connected_graphs(n, e, guard=None)]
+    assert len(sparse) == 1601
+    for g in graphs + sparse:
+        subs = facet_subgraphs(g)
+        assert set(subs) == reference_facet_subgraphs(g), g
+        idx = {e: i for i, e in enumerate(g.edges)}
+        keys = [sum(1 << idx[e] for e in sub) for sub in subs]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys), g
 
 
 def test_unit_edge_sets_are_exactly_the_facet_subgraphs():
@@ -308,6 +315,19 @@ def test_count_matches_closed_forms_on_large_families(g, want):
 def test_complete_graph_on_eight_vertices():
     k8 = Graph(8, tuple((u, v) for u in range(8) for v in range(u + 1, 8)))
     assert facet_count(k8) == 254
+
+
+def test_second_path_checks_chain_states_at_21_vertices():
+    # records 2-4 of a seeded (21, 30) chain: each has about 10^3 facet
+    # subgraphs but a count above 2.9 * 10^6; the windmill start (3^10
+    # subgraphs) is left to the closed forms
+    cfg = ChainConfig.for_samples(21, 30, 4, seed=7, burn_in=0, initial=windmill(21, 10))
+    records = list(run_chain(cfg))[1:]
+    assert [r.count for r in records] == [3096096, 2916096, 3720384]
+    for r in records:
+        assert facet_count_via_subgraphs(r.graph) == r.count, r.graph  # r.count is facet_count
+        closed = closed_form_count(r.graph)
+        assert closed is None or closed == r.count, r.graph
 
 
 def test_contracting_a_non_facet_subgraph_raises():
