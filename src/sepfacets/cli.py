@@ -50,7 +50,7 @@ def _effective_guard() -> int:
         except ValueError:
             guard = 0
         if not 1 <= guard <= DEFAULT_GUARD:
-            raise SystemExit2(f"{GUARD_ENV} must be an integer from 1 to {DEFAULT_GUARD}, got {env!r}")
+            raise ValueError(f"{GUARD_ENV} must be an integer from 1 to {DEFAULT_GUARD}, got {env!r}")
         return guard
     return DEFAULT_GUARD
 
@@ -113,10 +113,10 @@ def _per_n(check, stride=1):
 
     def run(args, guard):
         if args.n is None:
-            raise SystemExit2(f"--n is required for {args.check}")
+            raise ValueError(f"--n is required for {args.check}")
         last = args.max_n if args.max_n is not None else args.n
         if last < args.n:
-            raise SystemExit2(f"--max-n ({last}) is below --n ({args.n})")
+            raise ValueError(f"--max-n ({last}) is below --n ({args.n})")
         return [check(n, args, guard) for n in range(args.n, last + 1, stride)]
 
     return run
@@ -126,7 +126,7 @@ def _mixed_cb(args, guard):
     if not args.bound_only:
         return _per_n(lambda n, a, guard: conjectures.check_mixed_cb(n))(args, guard)
     if args.max_n is None:
-        raise SystemExit2("--max-n is required for --bound-only")
+        raise ValueError("--max-n is required for --bound-only")
     return [conjectures.check_cb_maximizer_bound(args.max_n)]
 
 
@@ -164,10 +164,6 @@ def _run_verify(args) -> int:
     if any(r.status == "counterexample" for r in reports):
         return 2
     return 0
-
-
-class SystemExit2(Exception):
-    """Usage problem detected after argparse; mapped to exit code 1."""
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -214,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     except GuardExceeded as exc:
         print(f"sepfacets: {exc}", file=sys.stderr)
         return 3
-    except (SystemExit2, ValueError, OSError) as exc:  # ParseError and MultigraphError too
+    except (ValueError, OSError) as exc:  # ParseError and MultigraphError too
         print(f"sepfacets: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

@@ -348,8 +348,8 @@ def check_mixed_cb(n: int) -> ConjectureReport:
     return _finish(rep, t0)
 
 
-def check_cb_maximizer_bound(max_n: int, start: int = 10) -> ConjectureReport:
-    """For every n in [start, max_n], the conjectured maximizing triple's
+def check_cb_maximizer_bound(max_n: int) -> ConjectureReport:
+    """For every n in [10, max_n], the conjectured maximizing triple's
     count stays within double_cycle_max(n).  Exact integers throughout;
     this is the long-range companion to the per-n triple sweep.
 
@@ -358,19 +358,17 @@ def check_cb_maximizer_bound(max_n: int, start: int = 10) -> ConjectureReport:
     double_cycle_max, which share no code with the table.
     """
     t0 = time.perf_counter()
-    if start < 10:
-        raise ValueError(f"need start >= 10, got {start}")
-    if max_n < start:
-        raise ValueError(f"need max_n >= start ({start}), got {max_n}")
+    if max_n < 10:
+        raise ValueError(f"need max_n >= start (10), got {max_n}")
     rep = ConjectureReport(
-        "mixed-cb", {"mode": "bound-only", "start": start, "max_n": max_n}, "verified", "0"
+        "mixed-cb", {"mode": "bound-only", "start": 10, "max_n": max_n}, "verified", "0"
     )
     length = max_n // 2 + 2
     _refuse_table(f"the bound scan to max_n={max_n}", length * length // 2)
     c = _central_binomials(length)
-    for n in range(start, max_n + 1):
+    for n in range(10, max_n + 1):
         v, bound = _cb_maximizer_count(c, n), _double_cycle_max(c, n)
-        if (n - start) % 97 == 0 or n == max_n:
+        if (n - 10) % 97 == 0 or n == max_n:
             t = conjectured_cb_maximizer(n)
             if v != parallel_paths_count(t) or bound != double_cycle_max(n):
                 raise AssertionError(f"central-binomial table disagrees with the formulas at n={n}")

@@ -135,8 +135,7 @@ def _encoding(g: Graph) -> CanonicalForm:
 # class generation
 # ---------------------------------------------------------------------------
 
-_TREES: dict[int, tuple[Graph, ...]] = {1: (Graph(1, ()),)}
-_LEVELS: dict[tuple[int, int], tuple[Graph, ...]] = {}
+_LEVELS: dict[tuple[int, int], tuple[Graph, ...]] = {(1, 0): (Graph(1, ()),)}
 
 
 def _classes(candidates) -> tuple[Graph, ...]:
@@ -153,12 +152,7 @@ def trees(n: int) -> tuple[Graph, ...]:
     """All trees on n vertices, one canonical representative per class."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    for k in range(2, n + 1):
-        if k not in _TREES:
-            _TREES[k] = _classes(
-                Graph(k, t.edges + ((v, k - 1),)) for t in _TREES[k - 1] for v in range(t.n)
-            )
-    return _TREES[n]
+    return _level(n, n - 1)
 
 
 def connected_graphs(n: int, e: int, guard: int | None = DEFAULT_GUARD):
@@ -179,14 +173,18 @@ def connected_graphs(n: int, e: int, guard: int | None = DEFAULT_GUARD):
 
 
 def _level(n: int, e: int) -> tuple[Graph, ...]:
-    if e == n - 1:
-        return trees(n)
     key = (n, e)
     if key not in _LEVELS:
-        _LEVELS[key] = _classes(
-            Graph(n, g.edges + (uv,))
-            for g in _level(n, e - 1)
-            for uv in combinations(range(n), 2)
-            if uv not in g.edges
-        )
+        if e == n - 1:  # trees: a leaf on every vertex of every smaller tree
+            candidates = (
+                Graph(n, t.edges + ((v, n - 1),)) for t in _level(n - 1, n - 2) for v in range(t.n)
+            )
+        else:
+            candidates = (
+                Graph(n, g.edges + (uv,))
+                for g in _level(n, e - 1)
+                for uv in combinations(range(n), 2)
+                if uv not in g.edges
+            )
+        _LEVELS[key] = _classes(candidates)
     return _LEVELS[key]

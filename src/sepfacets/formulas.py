@@ -15,8 +15,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import accumulate
 from operator import add, mul
 
+from .enumeration import GuardExceeded
 from .graph import (
     Graph,
     MultigraphError,
@@ -109,29 +111,30 @@ PASCAL_ROWS_MAX = 600
 _PASCAL: list[list[int]] = [[1]]
 
 
-def _binom_slice(m: int, start: int, width: int) -> list[int]:
-    """binom(m, start + i) for i = 0..width-1, with start + width - 1 <= m."""
+def _binom_slice(m: int, start: int, width: int):
+    """binom(m, start + i) for i = 0..width-1, with start + width - 1 <= m:
+    a list up to PASCAL_ROWS_MAX, past it an iterator that holds one value
+    at a time."""
     if m <= PASCAL_ROWS_MAX:
         while len(_PASCAL) <= m:
             prev = _PASCAL[-1]
             _PASCAL.append([1, *map(add, prev, prev[1:]), 1])
         return _PASCAL[m][start:start + width]
     # past the table: one comb(), then exact multiplicative steps
-    out = [math.comb(m, start)]
-    for b in range(start, start + width - 1):
-        out.append(out[-1] * (m - b) // (b + 1))
-    return out
+    step = lambda b, i: b * (m - i) // (i + 1)
+    return accumulate(range(start, start + width - 1), step, initial=math.comb(m, start))
 
 
 def _same_parity(lengths) -> int:
     """same_parity_count without validation: lengths are >= 1, of one
     parity, in any order."""
     mt = min(lengths)
-    terms = last = None
-    for mk in lengths:
-        if mk != last:  # equal neighbours share one slice
-            row, last = _binom_slice(mk, (mk - mt) // 2, mt + 1), mk
+    terms = None
+    for i, mk in enumerate(lengths, 1):
+        row = _binom_slice(mk, (mk - mt) // 2, mt + 1)
         terms = row if terms is None else map(mul, terms, row)
+        if i % 1024 == 0:  # sum() recurses through the lazy products; a
+            terms = list(terms)  # chain of about 65000 overflows the C stack
     return sum(terms)
 
 
@@ -154,7 +157,7 @@ def theta_count(m: int, t: int) -> int:
     """Facets of t parallel paths of equal length m: sum_j binom(m, j)^t."""
     if m < 1 or t < 1:
         raise ValueError(f"need m >= 1 and t >= 1, got m={m}, t={t}")
-    return sum(binom(m, j) ** t for j in range(m + 1))
+    return sum(b ** t for b in _binom_slice(m, 0, m + 1))
 
 
 def parallel_paths_count(lengths) -> int:
@@ -310,20 +313,29 @@ def _wedge_cycles(*lengths: int) -> Graph:
     return g
 
 
-# name -> (parameter count or None for any, count, graph builder or None
-# for formula-only); both take the parameters as positional arguments
+# name -> (parameter count or None for any, vertex count, count, graph
+# builder or None for formula-only), each called with the parameters; a
+# length counts by absolute value, so a negative one cannot offset a huge one
 _FAMILIES = {
-    "cycle": (1, cycle_count, cycle),  # m
-    "tree": (1, tree_count, lambda n: Graph(1, ()) if n == 1 else path(n - 1)),  # n
-    "cycle-path": (2, cycle_with_tail_count, cycle_with_tail),  # n, m
-    "two-cycles": (3, double_cycle_count, double_cycle),  # n, i, j
-    "paths": (None, lambda *m: parallel_paths_count(m), lambda *m: parallel_paths(m)),
-    "theta": (2, theta_count, theta),  # m, t
-    "windmill": (2, windmill_count, windmill),  # n, r
+    "cycle": (1, lambda m: m, cycle_count, cycle),  # m
+    "tree": (1, lambda n: n, tree_count, lambda n: Graph(1, ()) if n == 1 else path(n - 1)),  # n
+    "cycle-path": (2, lambda n, m: n, cycle_with_tail_count, cycle_with_tail),  # n, m
+    "two-cycles": (3, lambda n, i, j: n, double_cycle_count, double_cycle),  # n, i, j
+    "paths": (None, lambda *m: 2 + sum(abs(x - 1) for x in m),
+              lambda *m: parallel_paths_count(m), lambda *m: parallel_paths(m)),
+    "theta": (2, lambda m, t: 2 + abs(t * (m - 1)), theta_count, theta),  # m, t
+    "windmill": (2, lambda n, r: n, windmill_count, windmill),  # n, r
     # cycle lengths (>= 2 each), plus optional tail edges
-    "wedge-cycles": (None, lambda *c: math.prod(map(cycle_count, c)), _wedge_cycles),
-    "max-bicyclic": (1, double_cycle_max, None),  # n
+    "wedge-cycles": (None, lambda *c: 1 + sum(abs(x - 1) for x in c),
+                     lambda *c: math.prod(map(cycle_count, c)), _wedge_cycles),
+    "max-bicyclic": (1, lambda n: n, double_cycle_max, None),  # n
 }
+
+# Largest member, in vertices, that `formula` evaluates and `count --family`
+# builds (`paths` with 100000 lengths of 2 just fits).  At the cap, `count
+# --family` peaks near 63 MB and the slowest formula (two long paths) takes
+# about 105 s at 16 MB on a 2-core host; a count has at most 1.6e5 bits.
+MAX_FAMILY_VERTICES = 100_002
 
 
 @dataclass(frozen=True)
@@ -351,19 +363,23 @@ class FamilySpec:
             raise ValueError("tail edge count must be nonnegative")
         if self.tail and self.kind != "wedge-cycles":
             raise ValueError("tail edges only apply to wedge-cycles")
+        vertices = _FAMILIES[self.kind][1](*self.params) + self.tail
+        if vertices > MAX_FAMILY_VERTICES:
+            raise GuardExceeded(f"family {self.kind!r} member has {vertices} vertices "
+                                f"(cap {MAX_FAMILY_VERTICES})")
 
     def count(self) -> int:
-        return _FAMILIES[self.kind][1](*self.params) << self.tail
+        return _FAMILIES[self.kind][2](*self.params) << self.tail
 
     def graph(self) -> Graph:
-        build = _FAMILIES[self.kind][2]
+        build = _FAMILIES[self.kind][3]
         if build is None:
             raise ValueError(f"family {self.kind!r} is formula-only")
         g = build(*self.params)
         return wedge(g, path(self.tail), 0, 0) if self.tail else g
 
     @classmethod
-    def parse(cls, tokens: list[str], tail: int = 0) -> "FamilySpec":
+    def parse(cls, tokens: list[str]) -> "FamilySpec":
         if not tokens:
             raise ValueError("empty family spec")
         kind, *rest = tokens
@@ -371,4 +387,4 @@ class FamilySpec:
             params = tuple(int(x) for x in rest)
         except ValueError:
             raise ValueError(f"family parameters must be integers, got {rest}")
-        return cls(kind, params, tail)
+        return cls(kind, params)

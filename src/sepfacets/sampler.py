@@ -36,16 +36,6 @@ RNG_ID = "python-random-mt19937"
 MAX_CHAIN_VERTICES = 1024
 
 
-def default_burn_in(n: int, e: int) -> int:
-    """Heuristic default: 10 sweeps of e * C(n, 2) proposals."""
-    return 10 * e * (n * (n - 1) // 2)
-
-
-def default_thinning(n: int, e: int) -> int:
-    """Heuristic default: one sweep of e * C(n, 2) proposals per sample."""
-    return e * (n * (n - 1) // 2)
-
-
 @dataclass(frozen=True)
 class ChainConfig:
     """Parameters of one chain run; immutable and fully reproducible."""
@@ -94,13 +84,16 @@ class ChainConfig:
         initial: Graph | None = None,
     ) -> "ChainConfig":
         """Config sized to emit exactly `samples` records: one at the end
-        of burn-in and one every `thin` steps after that."""
+        of burn-in and one every `thin` steps after that.  By default one
+        sweep is e * C(n, 2) proposals; burn-in runs 10 sweeps and each
+        sample is one sweep after the last."""
         if samples < 1:
             raise ValueError(f"need >= 1 samples, got {samples}")
+        sweep = e * (n * (n - 1) // 2)
         if burn_in is None:
-            burn_in = default_burn_in(n, e)
+            burn_in = 10 * sweep
         if thin is None:
-            thin = default_thinning(n, e)
+            thin = sweep
         steps = burn_in + (samples - 1) * thin
         return cls(n, e, steps, burn_in, thin, seed, initial)
 

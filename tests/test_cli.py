@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -314,3 +317,60 @@ def test_formula_tables_past_the_cap_are_refused(monkeypatch, capsys, argv, tabl
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "MiB" in captured.err and "Traceback" not in captured.err
+
+
+def test_formula_paths_with_many_lengths_prints():
+    # a chain of one lazy product per length used to overflow the C stack,
+    # so the command runs in a child process
+    from sepfacets.formulas import decimal, theta_count
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sepfacets.cli", "formula", "paths", *["2"] * 100000],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == decimal((1 << 100000) + 2) + "\n"
+    assert proc.stdout == decimal(theta_count(2, 100000)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["formula", "tree", "100000000000"],
+        ["formula", "windmill", "100000000001", "3"],
+        ["count", "--family", "tree", "100000000"],
+        ["formula", "tree", "1000000000000000000000"],
+        ["formula", "theta", "3", "1000000000"],
+        ["formula", "paths", "100001", "2"],
+        ["formula", "wedge-cycles", "5", "3", "--tail", "100000"],
+        ["count", "--family", "wedge-cycles", "100000000000", "-100000000000"],
+    ],
+)
+def test_family_members_past_the_cap_are_refused(monkeypatch, capsys, argv):
+    from sepfacets import formulas
+
+    def not_called(*args):
+        raise AssertionError("family member evaluated or built past the cap")
+
+    families = {
+        kind: (arity, vertices, not_called, not_called)
+        for kind, (arity, vertices, _, _) in formulas._FAMILIES.items()
+    }
+    monkeypatch.setattr(formulas, "_FAMILIES", families)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "vertices" in captured.err and "Traceback" not in captured.err
+
+
+def test_family_members_at_the_cap_are_evaluated(capsys):
+    from sepfacets.formulas import MAX_FAMILY_VERTICES, decimal
+
+    assert main(["formula", "tree", str(MAX_FAMILY_VERTICES)]) == 0
+    assert capsys.readouterr().out == decimal(1 << (MAX_FAMILY_VERTICES - 1)) + "\n"
+    assert main(["formula", "tree", str(MAX_FAMILY_VERTICES + 1)]) == 3

@@ -256,8 +256,6 @@ def test_cb_maximizer_bound_scan():
     rep = cj.check_cb_maximizer_bound(200)
     assert rep.status == "verified"
     assert rep.max == str(parallel_paths_count(cj.conjectured_cb_maximizer(200)))
-    with pytest.raises(ValueError):
-        cj.check_cb_maximizer_bound(200, start=9)
     with pytest.raises(ValueError, match="max_n"):
         cj.check_cb_maximizer_bound(9)  # empty range: nothing would be checked
 

@@ -2,6 +2,9 @@
 
 import ast
 from pathlib import Path
+from types import ModuleType
+
+import sepfacets
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sepfacets"
 
@@ -18,3 +21,31 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_readme_quick_start_runs():
+    # the package exports exactly what this block imports, so it fails if
+    # __init__.py drops a name that README uses
+    readme = (SRC.parent.parent / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    tree = ast.parse(block)
+    namespace: dict = {}
+    values = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    assert len(values) == 5
+    assert values[0] == 180
+    assert values[1] == 46656 == 6**6
+    assert values[2] == 32
+    assert len(values[3]) == 6
+    assert values[4] == 180
+    imported = {a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names}
+    exported = {
+        name for name, value in vars(sepfacets).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert exported == imported
