@@ -1,17 +1,20 @@
 """Exhaustive enumeration of small connected graphs, one per isomorphism
-class, with a brute-force canonical form.
+class, with a canonical form found by a pruned search.
 
 The canonical form of a graph is the lexicographically smallest adjacency
-encoding over all vertex relabelings.  Color refinement (degrees, then
-iterated neighbor-color multisets) splits the vertices into classes first,
-and only relabelings that keep the class order need to be searched, with
-prefix pruning.  This is quadratic-ish in practice at desk scale and is
-deliberately simple; n <= 8 is the supported regime, enforced by a guard.
+encoding over the vertex relabelings that keep its refined color order.
+Color refinement (degrees, then iterated neighbor-color multisets) splits
+the vertices into classes first.  The search places them in class order
+with prefix pruning, and tries one vertex per twin class at each position:
+swapping two twins is an automorphism, so their subtrees repeat.  Stars
+cost linear time, but other symmetry (a windmill's triangles) costs
+factorial time, so n <= 8 is the supported regime, enforced by a guard.
 
 Classes are generated level by level: trees by leaf augmentation, then one
 extra edge at a time.  Every connected graph above a tree has a non-bridge
 edge whose removal stays connected, so augmenting every representative by
-every missing edge reaches every class.
+every missing edge reaches every class.  A twin swap maps each candidate
+onto an isomorphic one, so one per orbit of the swaps is built.
 """
 
 from __future__ import annotations
@@ -32,38 +35,54 @@ CanonicalForm = tuple[int, tuple[int, ...]]
 
 def _refine_colors(n: int, adj: list[int]) -> list[int]:
     """Iterated color refinement; returns a canonical color id per vertex."""
-    nbrs = [[w for w in range(n) if (adj[v] >> w) & 1] for v in range(n)]
-    colors = [len(nbrs[v]) for v in range(n)]
+    nbrs = [[w for w in range(n) if av >> w & 1] for av in adj]
+    colors = [len(nb) for nb in nbrs]
+    count = len(set(colors))
     for _ in range(n):
-        keys = [
-            (colors[v], tuple(sorted(colors[w] for w in nbrs[v]))) for v in range(n)
-        ]
+        get = colors.__getitem__
+        keys = [(colors[v], tuple(sorted(map(get, nb)))) for v, nb in enumerate(nbrs)]
         rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new = [rank[k] for k in keys]
-        if len(set(new)) == len(set(colors)):
-            colors = new
+        colors = [rank[k] for k in keys]
+        if len(rank) == count:
             break
-        colors = new
+        count = len(rank)
     return colors
 
 
+def _masks(g: Graph) -> list[int]:
+    """Neighbor bitmask per vertex."""
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def _twins(adj: list[int]) -> list[int]:
+    """The least twin of each vertex (itself if none).  v and w are twins
+    when adj[v] and adj[w] agree off {v, w}; swapping them is an
+    automorphism that fixes every other vertex.  False twins have equal
+    neighbor sets, true twins equal closed ones; no vertex has both."""
+    tw, by_open, by_closed = [], {}, {}
+    for v, av in enumerate(adj):
+        w = by_open.setdefault(av, v)
+        tw.append(w if w != v else by_closed.setdefault(av | 1 << v, v))
+    return tw
+
+
 def canonical_form(g: Graph) -> CanonicalForm:
-    """Smallest adjacency encoding of g over all relabelings.
+    """Smallest adjacency encoding of g over the relabelings in refined color order.
 
     The encoding is (n, rows) where rows[p-1] packs the adjacency between
     the vertex placed at position p and positions 0..p-1, earliest position
     in the highest bit.  Equal forms mean isomorphic graphs and vice versa.
     """
     n = g.n
-    if n == 0:
-        return (0, ())
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    if n == 1:
-        return (1, ())
+    if n <= 1:
+        return (n, ())
+    adj = _masks(g)
     colors = _refine_colors(n, adj)
+    tw = _twins(adj)
     # position p must hold a vertex of block_color[p]; blocks in color order
     by_color: dict[int, list[int]] = {}
     for v in range(n):
@@ -79,10 +98,11 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
     def dfs(pos: int) -> None:
         prev_mask_bits = placed[:pos]
-        want = block_color[pos]
-        for v in by_color[want]:
-            if used[v]:
+        tried = 0  # twin classes placed at pos so far: a twin's subtree repeats
+        for v in by_color[block_color[pos]]:
+            if used[v] or tried >> tw[v] & 1:
                 continue
+            tried |= 1 << tw[v]
             row = 0
             av = adj[v]
             for q in range(pos):
@@ -100,9 +120,8 @@ def canonical_form(g: Graph) -> CanonicalForm:
                 dfs(pos + 1)
             used[v] = False
 
-    # position 0 carries no row; try each vertex of the first block there
-    first_block = by_color[block_color[0]]
-    for v0 in first_block:
+    # position 0 carries no row; try one vertex per twin class of the first block
+    for v0 in {tw[v]: v for v in by_color[block_color[0]]}.values():
         used[v0] = True
         placed[0] = v0
         dfs(1)
@@ -172,19 +191,27 @@ def connected_graphs(n: int, e: int, guard: int | None = DEFAULT_GUARD):
     yield from _level(n, e)
 
 
+def _missing_edges(g: Graph):
+    """One missing edge of g per orbit of the twin swaps, which swap the
+    pairs between two twin classes, or inside one, onto each other."""
+    adj = _masks(g)
+    tw = _twins(adj)
+    pairs = combinations(range(g.n), 2)
+    return {frozenset((tw[u], tw[v])): (u, v) for u, v in pairs if not adj[u] >> v & 1}.values()
+
+
 def _level(n: int, e: int) -> tuple[Graph, ...]:
     key = (n, e)
     if key not in _LEVELS:
-        if e == n - 1:  # trees: a leaf on every vertex of every smaller tree
+        if e == n - 1:  # trees: a leaf on one vertex per twin class of each smaller tree
             candidates = (
-                Graph(n, t.edges + ((v, n - 1),)) for t in _level(n - 1, n - 2) for v in range(t.n)
+                Graph(n, t.edges + ((v, n - 1),))
+                for t in _level(n - 1, n - 2)
+                for v in set(_twins(_masks(t)))
             )
         else:
             candidates = (
-                Graph(n, g.edges + (uv,))
-                for g in _level(n, e - 1)
-                for uv in combinations(range(n), 2)
-                if uv not in g.edges
+                Graph(n, g.edges + (uv,)) for g in _level(n, e - 1) for uv in _missing_edges(g)
             )
         _LEVELS[key] = _classes(candidates)
     return _LEVELS[key]

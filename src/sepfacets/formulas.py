@@ -128,6 +128,8 @@ def _binom_slice(m: int, start: int, width: int):
 def _same_parity(lengths) -> int:
     """same_parity_count without validation: lengths are >= 1, of one
     parity, in any order."""
+    if len(lengths) == 2:  # Vandermonde: two paths close one (a + b)-cycle
+        return math.comb(sum(lengths), sum(lengths) // 2)
     mt = min(lengths)
     terms = None
     for i, mk in enumerate(lengths, 1):

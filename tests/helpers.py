@@ -8,6 +8,7 @@ code with the package, so agreement is meaningful.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import insort
@@ -15,6 +16,7 @@ from collections import deque
 from random import Random
 from typing import Iterator
 
+from sepfacets.enumeration import CanonicalForm, _refine_colors
 from sepfacets.formulas import _paths
 from sepfacets.graph import Graph, adjacency, is_connected
 from sepfacets.sampler import ChainConfig, default_initial
@@ -248,3 +250,105 @@ def reference_frontier_order(adj: list[list[int]]) -> list[int]:
         if best is None:
             raise ValueError("graph must be connected")
         v = best[2]
+
+
+def reference_canonical_form(g: Graph) -> CanonicalForm:
+    """The canonical form by the unpruned search: every relabeling that
+    keeps the refined color order, with prefix pruning only, so it costs
+    factorial time on stars.  It shares enumeration._refine_colors, whose
+    color order defines the form, and nothing of the search."""
+    n = g.n
+    if n <= 1:
+        return (n, ())
+    adj = [0] * n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    colors = _refine_colors(n, adj)
+    by_color: dict[int, list[int]] = {}
+    for v in range(n):
+        by_color.setdefault(colors[v], []).append(v)
+    block_color = [c for c in sorted(by_color) for _ in by_color[c]]
+    infinity = 1 << (n + 1)
+    best = [infinity] * (n - 1)
+    placed = [0] * n
+    used = [False] * n
+
+    def dfs(pos: int) -> None:
+        for v in by_color[block_color[pos]]:
+            if used[v]:
+                continue
+            row = 0
+            for q in range(pos):
+                row = (row << 1) | ((adj[v] >> placed[q]) & 1)
+            if row > best[pos - 1]:
+                continue
+            if row < best[pos - 1]:
+                best[pos - 1] = row
+                best[pos:] = [infinity] * (n - 1 - pos)
+            used[v] = True
+            placed[pos] = v
+            if pos + 1 < n:
+                dfs(pos + 1)
+            used[v] = False
+
+    for v0 in by_color[block_color[0]]:
+        used[v0] = True
+        placed[0] = v0
+        dfs(1)
+        used[v0] = False
+    return (n, tuple(best))
+
+
+def _form_graph(form: CanonicalForm) -> Graph:
+    """The graph whose own encoding is form: row p - 1 holds the edges
+    from position p back to positions 0..p-1, position 0 in its top bit."""
+    n, rows = form
+    return Graph(n, tuple((q, p) for p, row in enumerate(rows, 1) for q in range(p)
+                          if row >> (p - 1 - q) & 1))
+
+
+@functools.lru_cache(maxsize=None)
+def reference_level(n: int, e: int) -> tuple[Graph, ...]:
+    """The connected (n, e) classes by the unpruned augmentation: a leaf on
+    every vertex of every (n - 1)-vertex tree, or every missing edge of
+    every (n, e - 1) class, deduplicated and sorted by
+    reference_canonical_form, one graph per form."""
+    if e == n - 1 == 0:
+        return (Graph(1, ()),)
+    if e == n - 1:
+        candidates = [Graph(n, t.edges + ((v, n - 1),))
+                      for t in reference_level(n - 1, n - 2) for v in range(n - 1)]
+    else:
+        candidates = [Graph(n, g.edges + (p,))
+                      for g in reference_level(n, e - 1) for p in _pairs(n) if p not in g.edges]
+    return tuple(map(_form_graph, sorted({reference_canonical_form(h) for h in candidates})))
+
+
+def swap_orbit_count(g: Graph, leaf: bool) -> int:
+    """Orbits of g's vertices (leaf) or of its missing edges under the
+    group generated by every transposition of two vertices that maps g
+    onto itself; the transpositions are found by relabeling g."""
+    swaps = []
+    for v, w in itertools.combinations(range(g.n), 2):
+        perm = list(range(g.n))
+        perm[v], perm[w] = w, v
+        if relabel(g, perm) == g:
+            swaps.append({v: w, w: v})
+    items = [frozenset({v}) for v in range(g.n)] if leaf else [
+        frozenset(p) for p in _pairs(g.n) if p not in g.edges]
+    orbits, seen = 0, set()
+    for start in items:
+        if start in seen:
+            continue
+        orbits += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            item = stack.pop()
+            for t in swaps:
+                image = frozenset(t.get(x, x) for x in item)
+                if image not in seen:
+                    seen.add(image)
+                    stack.append(image)
+    return orbits

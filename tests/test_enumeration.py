@@ -1,9 +1,14 @@
+import hashlib
 import itertools
+import sys
+from collections import Counter
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import relabel
+from helpers import reference_canonical_form, reference_level, relabel, swap_orbit_count
+from sepfacets import enumeration
 from sepfacets.enumeration import (
     GuardExceeded,
     canonical_form,
@@ -11,7 +16,7 @@ from sepfacets.enumeration import (
     connected_graphs,
     trees,
 )
-from sepfacets.graph import Graph, is_connected
+from sepfacets.graph import Graph, is_connected, windmill
 
 
 @st.composite
@@ -86,3 +91,111 @@ def test_guard_refuses_large_n():
         list(connected_graphs(9, 9))
     with pytest.raises(GuardExceeded):
         list(connected_graphs(9, 9, guard=8))
+
+
+def _complete(n):
+    return Graph(n, tuple(itertools.combinations(range(n), 2)))
+
+
+def _complete_bipartite_2(k):
+    return Graph(k + 2, tuple((a, j) for a in (0, 1) for j in range(2, k + 2)))
+
+
+def test_pruned_search_matches_reference_on_every_class_up_to_seven_vertices():
+    rng = Random(41)
+    for n in range(1, 8):
+        for e in range(n - 1, n * (n - 1) // 2 + 1):
+            for g in connected_graphs(n, e):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                h = relabel(g, perm)
+                assert canonical_form(h) == reference_canonical_form(h), h
+
+
+TWIN_RICH = {
+    **{f"star-{k}": windmill(k + 1, 0) for k in range(1, 9)},
+    **{f"k2-{k}": _complete_bipartite_2(k) for k in range(1, 8)},
+    **{f"complete-{n}": _complete(n) for n in range(1, 9)},
+    **{f"windmill-9-{r}": windmill(9, r) for r in range(5)},
+}
+
+
+@pytest.mark.parametrize("name", TWIN_RICH)
+def test_pruned_search_matches_reference_on_twin_rich_graphs(name):
+    g = TWIN_RICH[name]
+    perm = list(range(g.n))
+    Random(name).shuffle(perm)
+    for h in (g, relabel(g, perm)):
+        assert canonical_form(h) == reference_canonical_form(h)
+
+
+def test_pruned_search_places_one_star_leaf_per_position():
+    # the unpruned search would visit all 40! orders of the leaves; the
+    # trace aborts it long before that
+    calls = 0
+
+    def count_dfs(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "dfs":
+            calls += 1
+            if calls > 1000:
+                raise RuntimeError("the canonical search is not pruned")
+
+    star = relabel(windmill(41, 0), list(range(40, -1, -1)))
+    sys.settrace(count_dfs)
+    try:
+        form = canonical_form(star)
+    finally:
+        sys.settrace(None)
+    assert form == (41, (0,) * 39 + ((1 << 40) - 1,))
+    assert calls == 40
+
+
+@given(labeled_graphs())
+def test_one_candidate_per_orbit_of_the_twin_swaps(g):
+    # under any labelling, not only the canonical one the levels hold
+    assert len(set(enumeration._twins(enumeration._masks(g)))) == swap_orbit_count(g, leaf=True)
+    assert len(enumeration._missing_edges(g)) == swap_orbit_count(g, leaf=False)
+
+
+SPARSE_LEVELS = [(n, e) for n in range(3, 10) for e in (n - 1, n, n + 1)]
+
+
+def test_sparse_levels_match_the_unpruned_augmentation(monkeypatch):
+    # from a cold cache, each level equals the reference's, and it builds
+    # one candidate per orbit of the twin swaps of each graph a level below
+    monkeypatch.setattr(enumeration, "_LEVELS", {(1, 0): (Graph(1, ()),)})
+    built = Counter()
+    canonical_graph = enumeration.canonical_graph
+
+    def counted(g):
+        built[g.n, g.m] += 1
+        return canonical_graph(g)
+
+    monkeypatch.setattr(enumeration, "canonical_graph", counted)
+    for n, e in [(2, 1)] + SPARSE_LEVELS:
+        assert list(connected_graphs(n, e, guard=None)) == list(reference_level(n, e))
+        tree = e == n - 1
+        below = reference_level(n - 1, n - 2) if tree else reference_level(n, e - 1)
+        assert built[n, e] == sum(swap_orbit_count(g, leaf=tree) for g in below), (n, e)
+    assert sum(built.values()) == 8005
+
+
+def _level_digest(levels):
+    h = hashlib.sha256()
+    for n, e in levels:
+        h.update(repr((n, e, [g.edges for g in connected_graphs(n, e, guard=None)])).encode())
+    return h.hexdigest()
+
+
+def test_sparse_levels_are_pinned():
+    assert _level_digest(SPARSE_LEVELS) == (
+        "dc1814c6548555e8fdb80a01dfe2d6d13cb79e1ea94fcddd8b445bb44acac6ab"
+    )
+
+
+def test_every_level_up_to_eight_vertices_is_pinned():
+    levels = [(n, e) for n in range(1, 9) for e in range(n - 1, n * (n - 1) // 2 + 1)]
+    assert _level_digest(levels) == (
+        "e2a8d2679f475d6d52df79f7aa75c319f4d5cb6c4b01f7376632eef8a5a4e48e"
+    )

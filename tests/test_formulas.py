@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -83,6 +87,36 @@ def test_same_parity_values():
     assert same_parity_count([7, 1, 1]) == 70
     with pytest.raises(ValueError):
         same_parity_count([3, 2, 1])
+
+
+def test_two_length_sums_match_the_term_by_term_sum():
+    # Vandermonde: the two paths of lengths a, b close one (a + b)-cycle
+    for a in range(1, 41):
+        for b in range(a % 2 or 2, a + 1, 2):
+            want = sum(math.comb(b, j) * math.comb(a, (a - b) // 2 + j) for j in range(b + 1))
+            assert same_parity_count([a, b]) == same_parity_count([b, a]) == want, (a, b)
+
+
+def test_two_long_paths_count_in_a_child_process():
+    # the term-by-term sum took about 105 s here; the child's timeout
+    # stops a return to it
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import time; from sepfacets.formulas import cycle_count, parallel_paths_count; "
+        "t = time.perf_counter(); ok = parallel_paths_count([50001, 50000]) == cycle_count(100001); "
+        "print(ok, time.perf_counter() - t)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    ok, seconds = proc.stdout.split()
+    assert ok == "True"
+    assert float(seconds) < 20
 
 
 def _reference_f(lengths):
