@@ -11,10 +11,11 @@ cost linear time, but other symmetry (a windmill's triangles) costs
 factorial time, so n <= 8 is the supported regime, enforced by a guard.
 
 Classes are generated level by level: trees by leaf augmentation, then one
-extra edge at a time.  Every connected graph above a tree has a non-bridge
-edge whose removal stays connected, so augmenting every representative by
-every missing edge reaches every class.  A twin swap maps each candidate
-onto an isomorphic one, so one per orbit of the swaps is built.
+extra edge at a time, one candidate per orbit of the twin swaps.  A
+candidate is built only if its new element is one a fixed, isomorphism-
+invariant deletion rule could remove last (McKay's canonical augmentation,
+J. Algorithms 26, 1998); `_level` gives the rule and why it loses no class.
+The survivors are still deduplicated by canonical form.
 """
 
 from __future__ import annotations
@@ -167,13 +168,6 @@ def _classes(candidates) -> tuple[Graph, ...]:
     return tuple(seen[key] for key in sorted(seen))
 
 
-def trees(n: int) -> tuple[Graph, ...]:
-    """All trees on n vertices, one canonical representative per class."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return _level(n, n - 1)
-
-
 def connected_graphs(n: int, e: int, guard: int | None = DEFAULT_GUARD):
     """Yield one canonical representative per isomorphism class of
     connected simple graphs with n vertices and e edges.
@@ -200,18 +194,59 @@ def _missing_edges(g: Graph):
     return {frozenset((tw[u], tw[v])): (u, v) for u, v in pairs if not adj[u] >> v & 1}.values()
 
 
+def _reaches(adj: list[int], x: int, y: int) -> bool:
+    """Whether y is reachable from x without the edge xy (bitmask BFS)."""
+    seen, frontier = 1 << x, adj[x] & ~(1 << y)
+    while frontier and not frontier >> y & 1:
+        seen |= frontier
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~seen
+    return frontier != 0
+
+
+def _deleted_last(adj: list[int], edges, u: int, v: int, tree: bool) -> bool:
+    """Whether no deletable edge of g + uv has a larger key than uv, for g
+    with neighbor masks adj and the given edges.  Edge xy has key (deg x +
+    deg y, min(deg x, deg y)) in g + uv; it is deletable if it is a leaf
+    edge of a tree, or if deleting it leaves a graph above a tree connected."""
+    adj = adj.copy()
+    adj[u] |= 1 << v
+    adj[v] |= 1 << u
+    deg = [a.bit_count() for a in adj]
+    top = (deg[u] + deg[v], min(deg[u], deg[v]))
+    for x, y in edges:
+        low = min(deg[x], deg[y])
+        if (deg[x] + deg[y], low) > top and (low == 1 if tree else _reaches(adj, x, y)):
+            return False
+    return True
+
+
 def _level(n: int, e: int) -> tuple[Graph, ...]:
+    """The (n, e) classes from the level below: a leaf n - 1 on one vertex
+    per twin class of each tree, or one missing edge per orbit of the twin
+    swaps of each graph, kept only if _deleted_last holds for the new edge.
+
+    No class is lost.  Take G in the level and a deletable edge of largest
+    key.  Deleting it (in a tree, with its leaf) leaves a graph isomorphic
+    to a representative R below, and R plus the image of the edge is
+    isomorphic to G.  A twin swap, an automorphism of R, maps that image to
+    the candidate built for its orbit, so that candidate is isomorphic to G
+    with the edge mapped to its new one.  Keys and deletability are
+    invariant, so the candidate is kept.  Candidates that still coincide
+    are merged by canonical form, so the level does not depend on the rule.
+    """
     key = (n, e)
     if key not in _LEVELS:
-        if e == n - 1:  # trees: a leaf on one vertex per twin class of each smaller tree
-            candidates = (
-                Graph(n, t.edges + ((v, n - 1),))
-                for t in _level(n - 1, n - 2)
-                for v in set(_twins(_masks(t)))
-            )
-        else:
-            candidates = (
-                Graph(n, g.edges + (uv,)) for g in _level(n, e - 1) for uv in _missing_edges(g)
-            )
-        _LEVELS[key] = _classes(candidates)
+        tree = e == n - 1
+        _LEVELS[key] = _classes(
+            Graph(n, g.edges + (uv,))
+            for g in (_level(n - 1, n - 2) if tree else _level(n, e - 1))
+            for adj in [_masks(g) + [0] * (n - g.n)]
+            for uv in ([(v, n - 1) for v in set(_twins(adj[:-1]))] if tree else _missing_edges(g))
+            if _deleted_last(adj, g.edges, *uv, tree)
+        )
     return _LEVELS[key]

@@ -325,7 +325,7 @@ def reference_level(n: int, e: int) -> tuple[Graph, ...]:
     return tuple(map(_form_graph, sorted({reference_canonical_form(h) for h in candidates})))
 
 
-def swap_orbit_count(g: Graph, leaf: bool) -> int:
+def swap_orbits(g: Graph, leaf: bool) -> list[set[frozenset[int]]]:
     """Orbits of g's vertices (leaf) or of its missing edges under the
     group generated by every transposition of two vertices that maps g
     onto itself; the transpositions are found by relabeling g."""
@@ -337,18 +337,37 @@ def swap_orbit_count(g: Graph, leaf: bool) -> int:
             swaps.append({v: w, w: v})
     items = [frozenset({v}) for v in range(g.n)] if leaf else [
         frozenset(p) for p in _pairs(g.n) if p not in g.edges]
-    orbits, seen = 0, set()
+    orbits, seen = [], set()
     for start in items:
         if start in seen:
             continue
-        orbits += 1
-        seen.add(start)
-        stack = [start]
+        orbit, stack = {start}, [start]
         while stack:
             item = stack.pop()
             for t in swaps:
                 image = frozenset(t.get(x, x) for x in item)
-                if image not in seen:
-                    seen.add(image)
+                if image not in orbit:
+                    orbit.add(image)
                     stack.append(image)
+        seen |= orbit
+        orbits.append(orbit)
     return orbits
+
+
+def reference_last_element(h: Graph, new: tuple[int, int]) -> bool:
+    """The deletion rule of canonical augmentation for the edge `new` just
+    added to h, from degrees and connectivity alone.  In a tree (the new
+    leaf is new[1]) no leaf may have a neighbor of larger degree than
+    new[0].  Otherwise no edge xy whose deletion leaves h connected may
+    have a larger key (deg x + deg y, min(deg x, deg y)) than `new`."""
+    deg = [h.degree(v) for v in range(h.n)]
+    if h.m == h.n - 1:
+        return all(deg[b] <= deg[new[0]]
+                   for x, y in h.edges for a, b in ((x, y), (y, x)) if deg[a] == 1)
+
+    def key(x: int, y: int) -> tuple[int, int]:
+        return deg[x] + deg[y], min(deg[x], deg[y])
+
+    return not any(key(x, y) > key(*new)
+                   and is_connected(Graph(h.n, tuple(p for p in h.edges if p != (x, y))))
+                   for x, y in h.edges)

@@ -7,15 +7,22 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import reference_canonical_form, reference_level, relabel, swap_orbit_count
+from helpers import (
+    reference_canonical_form,
+    reference_last_element,
+    reference_level,
+    relabel,
+    swap_orbits,
+)
 from sepfacets import enumeration
 from sepfacets.enumeration import (
     GuardExceeded,
     canonical_form,
     canonical_graph,
     connected_graphs,
-    trees,
 )
+from sepfacets.facets import facet_count
+from sepfacets.formulas import double_cycle_max
 from sepfacets.graph import Graph, is_connected, windmill
 
 
@@ -48,7 +55,8 @@ def test_canonical_form_separates_non_isomorphic():
 
 
 def test_tree_class_counts():
-    assert [len(trees(n)) for n in range(1, 9)] == [1, 1, 1, 2, 3, 6, 11, 23]
+    counts = [len(list(connected_graphs(n, n - 1, guard=None))) for n in range(1, 9)]
+    assert counts == [1, 1, 1, 2, 3, 6, 11, 23]
 
 
 def _oracle_class_count(n, e):
@@ -154,16 +162,31 @@ def test_pruned_search_places_one_star_leaf_per_position():
 @given(labeled_graphs())
 def test_one_candidate_per_orbit_of_the_twin_swaps(g):
     # under any labelling, not only the canonical one the levels hold
-    assert len(set(enumeration._twins(enumeration._masks(g)))) == swap_orbit_count(g, leaf=True)
-    assert len(enumeration._missing_edges(g)) == swap_orbit_count(g, leaf=False)
+    assert len(set(enumeration._twins(enumeration._masks(g)))) == len(swap_orbits(g, leaf=True))
+    assert len(enumeration._missing_edges(g)) == len(swap_orbits(g, leaf=False))
 
 
 SPARSE_LEVELS = [(n, e) for n in range(3, 10) for e in (n - 1, n, n + 1)]
 
 
+def _kept_orbits(n, e):
+    """Orbits of the twin swaps one level below (n, e) whose candidate
+    reference_last_element keeps; the rule is an isomorphism invariant, so
+    any member of an orbit stands for all of it."""
+    tree = e == n - 1
+    kept = 0
+    for g in reference_level(n - 1, n - 2) if tree else reference_level(n, e - 1):
+        for orbit in swap_orbits(g, leaf=tree):
+            first = min(sorted(item) for item in orbit)
+            new = (first[0], n - 1) if tree else tuple(first)
+            kept += reference_last_element(Graph(n, g.edges + (new,)), new)
+    return kept
+
+
 def test_sparse_levels_match_the_unpruned_augmentation(monkeypatch):
     # from a cold cache, each level equals the reference's, and it builds
     # one candidate per orbit of the twin swaps of each graph a level below
+    # whose new edge or leaf the reference deletion rule could remove last
     monkeypatch.setattr(enumeration, "_LEVELS", {(1, 0): (Graph(1, ()),)})
     built = Counter()
     canonical_graph = enumeration.canonical_graph
@@ -175,10 +198,15 @@ def test_sparse_levels_match_the_unpruned_augmentation(monkeypatch):
     monkeypatch.setattr(enumeration, "canonical_graph", counted)
     for n, e in [(2, 1)] + SPARSE_LEVELS:
         assert list(connected_graphs(n, e, guard=None)) == list(reference_level(n, e))
-        tree = e == n - 1
-        below = reference_level(n - 1, n - 2) if tree else reference_level(n, e - 1)
-        assert built[n, e] == sum(swap_orbit_count(g, leaf=tree) for g in below), (n, e)
-    assert sum(built.values()) == 8005
+        assert built[n, e] == _kept_orbits(n, e), (n, e)
+    assert sum(built.values()) == 2713
+
+
+def test_class_counts_and_maximum_past_eight_vertices():
+    assert len(list(connected_graphs(9, 12, guard=None))) == 4495
+    level = list(connected_graphs(10, 11, guard=None))
+    assert len(level) == 2678
+    assert max(map(facet_count, level)) == double_cycle_max(10) == 1800
 
 
 def _level_digest(levels):
