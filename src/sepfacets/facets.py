@@ -20,12 +20,14 @@ search code and must always agree:
   whose unit-difference components can no longer be reconnected by the
   unassigned vertices.
 
-* :func:`facet_count_via_subgraphs` first lists the maximal connected
-  spanning bipartite subgraphs (every E_f is one of these) by the same
-  pruned walk over 2-colourings, contracts the remaining edges, and
-  counts the labelings in which *every* edge of the contraction is a
-  unit step, as a product over its biconnected blocks.  Its work follows
-  the number of subgraphs and their blocks, not the number of facets.
+* :func:`facet_count_via_subgraphs` multiplies over the biconnected
+  blocks of the graph, since facet labelings of the blocks glue uniquely
+  up to a shift at the cut vertices.  In each block it lists the maximal
+  connected spanning bipartite subgraphs (every E_f is one of these) by
+  the same pruned walk over 2-colourings, contracts the remaining edges,
+  and counts the labelings in which *every* edge of the contraction is a
+  unit step, again as a product over blocks.  Its work follows the
+  number of subgraphs per block, not the number of facets.
 
 All arithmetic is exact integer arithmetic; nothing here touches floats.
 """
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from itertools import compress
 
 from .graph import Graph, adjacency, biconnected_blocks
 
@@ -295,100 +296,93 @@ def facet_count(g: Graph) -> int:
 # second, independent counting path
 # ---------------------------------------------------------------------------
 
-def facet_subgraphs(g: Graph) -> list[tuple[tuple[int, int], ...]]:
-    """Maximal connected spanning bipartite subgraphs of g, each exactly once.
-
-    Such a subgraph is the full bichromatic edge set of the one 2-colouring
-    (vertex 0 coloured 0) under which it spans and connects g, so the
-    two-colour walk lists each exactly once.  Results are ordered by edge
-    bitmask (bit i = presence of g.edges[i]).
-    """
-    if g.n == 1:
-        return [()]
-    found: dict[int, tuple[tuple[int, int], ...]] = {}
-
-    def keep(colour: list[int]) -> None:
-        bits = [colour[u] != colour[v] for u, v in g.edges]
-        found[sum(1 << i for i, b in enumerate(bits) if b)] = tuple(compress(g.edges, bits))
-
-    _walk_facet_labelings(g, keep, two_colour=True)
-    return [found[k] for k in sorted(found)]
-
-
-def _contract_flat_edges(g: Graph, sub: tuple[tuple[int, int], ...]):
-    """Contract every edge of g outside ``sub``; return the reduced simple
-    edge set on 0..k-1.  A facet subgraph never loses an edge to the
-    contraction (that would force a unit step between identified vertices)."""
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    keep = set(sub)
-    for e in g.edges:
-        if e not in keep:
-            ra, rb = find(e[0]), find(e[1])
-            if ra != rb:
-                parent[ra] = rb
-    roots = sorted({find(v) for v in range(g.n)})
-    index = {r: i for i, r in enumerate(roots)}
-    edges = set()
-    for u, v in sub:
-        a, b = index[find(u)], index[find(v)]
-        if a == b:
-            raise RuntimeError("contraction produced a self-loop; not a facet subgraph")
-        edges.add((min(a, b), max(a, b)))
-    return len(roots), sorted(edges)
+def _block_product(g: Graph, block_count) -> int:
+    """Product over the biconnected blocks of the connected graph g of 2
+    per bridge (it steps up or down) and block_count(k, edges) per other
+    block, relabelled to 0..k-1.  Labelings of the blocks glue uniquely, up
+    to a shift, at the cut vertices.  Raises if g is disconnected."""
+    blocks = biconnected_blocks(g)
+    vertex_sets = [sorted({v for e in block for v in e}) for block in blocks]
+    # a k-vertex block adds k - 1 vertices to the block tree of a connected
+    # graph, so the blocks of c components cover only n - c
+    if sum(len(vs) - 1 for vs in vertex_sets) != g.n - 1:
+        raise ValueError("graph must be connected")
+    total = 1
+    for block, vs in zip(blocks, vertex_sets):
+        if len(block) == 1:
+            total *= 2
+        else:
+            index = {v: i for i, v in enumerate(vs)}
+            total *= block_count(len(vs), [(index[u], index[v]) for u, v in block])
+    return total
 
 
 def _count_all_unit_labelings(k: int, edges: list[tuple[int, int]]) -> int:
-    """Labelings of a connected k-vertex graph in which every edge is a
-    unit step, counted up to an additive constant.  Blocks meet at cut
-    vertices, so the count is the product over the biconnected blocks of
-    each block's count with one vertex pinned to 0."""
-    total = 1
-    for block in biconnected_blocks(Graph(k, tuple(edges))):
-        if len(block) == 1:  # a bridge steps up or down
-            total *= 2
-            continue
-        index = {v: i for i, v in enumerate({v for e in block for v in e})}
-        adj: list[list[int]] = [[] for _ in index]
-        for u, v in block:
-            adj[index[u]].append(index[v])
-            adj[index[v]].append(index[u])
-        order, prev = _bfs_order(adj)
-        f = [0] * len(adj)
-        count = 0
+    """Labelings of a biconnected block on 0..k-1 in which every edge is a
+    unit step, with one vertex pinned to 0."""
+    adj: list[list[int]] = [[] for _ in range(k)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    order, prev = _bfs_order(adj)
+    f = [0] * k
+    count = 0
 
-        def rec(idx: int) -> None:
-            nonlocal count
-            ps = prev[idx]
-            base = f[ps[0]]
-            for label in (base - 1, base + 1):
-                if any(abs(f[u] - label) != 1 for u in ps[1:]):
-                    continue
-                f[order[idx]] = label
-                if idx + 1 == len(adj):
-                    count += 1
-                else:
-                    rec(idx + 1)
+    def rec(idx: int) -> None:
+        nonlocal count
+        ps = prev[idx]
+        base = f[ps[0]]
+        for label in (base - 1, base + 1):
+            if any(abs(f[u] - label) != 1 for u in ps[1:]):
+                continue
+            f[order[idx]] = label
+            if idx + 1 == k:
+                count += 1
+            else:
+                rec(idx + 1)
 
-        rec(1)
-        total *= count
+    rec(1)
+    return count
+
+
+def _block_count_via_subgraphs(k: int, edges: list[tuple[int, int]]) -> int:
+    """Facet count of a biconnected block on 0..k-1 with at least two edges.
+    Each leaf of the two-colour walk is the one colouring of a maximal
+    connected spanning bipartite subgraph; contracting its monochromatic
+    edges leaves a graph whose all-unit-step labelings it adds.  Monochromatic
+    paths join only vertices of one colour, so no bichromatic edge of the
+    subgraph becomes a self-loop."""
+    total = 0
+
+    def contract(colour: list[int]) -> None:
+        nonlocal total
+        parent = list(range(k))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for u, v in edges:
+            if colour[u] == colour[v]:
+                parent[find(u)] = find(v)
+        ids: dict[int, int] = {}
+        part = [ids.setdefault(find(v), len(ids)) for v in range(k)]
+        unit = set()
+        for u, v in edges:
+            if colour[u] != colour[v]:
+                a, b = part[u], part[v]
+                unit.add((a, b) if a < b else (b, a))
+        total += _block_product(Graph(len(ids), tuple(unit)), _count_all_unit_labelings)
+
+    _walk_facet_labelings(Graph(k, tuple(edges)), contract, two_colour=True)
     return total
 
 
 def facet_count_via_subgraphs(g: Graph) -> int:
-    """Facet count obtained by summing, over every maximal connected
-    spanning bipartite subgraph, the all-unit-step labelings of the graph
-    with the remaining edges contracted.  Always equals facet_count(g)."""
+    """Facet count as a product over the biconnected blocks of g: 2 per
+    bridge and :func:`_block_count_via_subgraphs` per other block.  Always
+    equals facet_count(g)."""
     if g.m < max(g.n - 1, 1):  # fewer edges cannot connect; before any allocation
         raise ValueError("facet counting needs a connected graph with >= 1 edge")
-    total = 0
-    for sub in facet_subgraphs(g):
-        k, edges = _contract_flat_edges(g, sub)
-        total += _count_all_unit_labelings(k, edges)
-    return total
+    return _block_product(g, _block_count_via_subgraphs)

@@ -17,6 +17,7 @@ from random import Random
 from typing import Iterator
 
 from sepfacets.enumeration import CanonicalForm, _refine_colors
+from sepfacets.facets import _walk_facet_labelings
 from sepfacets.formulas import _paths
 from sepfacets.graph import Graph, adjacency, is_connected
 from sepfacets.sampler import ChainConfig, default_initial
@@ -87,6 +88,26 @@ def reference_facet_subgraphs(g: Graph) -> set[tuple[tuple[int, int], ...]]:
         c for c in candidates if not any(c < other for other in candidates)
     ]
     return {tuple(sorted(c)) for c in maximal}
+
+
+def facet_subgraphs(g: Graph) -> list[tuple[tuple[int, int], ...]]:
+    """Maximal connected spanning bipartite subgraphs of g, each exactly once.
+
+    Such a subgraph is the full bichromatic edge set of the one 2-colouring
+    (vertex 0 coloured 0) under which it spans and connects g, so the
+    two-colour walk lists each exactly once.  Results are ordered by edge
+    bitmask (bit i = presence of g.edges[i]).
+    """
+    if g.n == 1:
+        return [()]
+    found: dict[int, tuple[tuple[int, int], ...]] = {}
+
+    def keep(colour: list[int]) -> None:
+        bits = [colour[u] != colour[v] for u, v in g.edges]
+        found[sum(1 << i for i, b in enumerate(bits) if b)] = tuple(itertools.compress(g.edges, bits))
+
+    _walk_facet_labelings(g, keep, two_colour=True)
+    return [found[k] for k in sorted(found)]
 
 
 def random_connected_graph(rng: Random, max_n: int = 6) -> Graph:

@@ -1,8 +1,10 @@
+import math
 from random import Random
 
 import pytest
 
 from helpers import (
+    facet_subgraphs,
     is_bipartite,
     random_connected_graph,
     reference_facet_count,
@@ -13,14 +15,18 @@ from helpers import (
 )
 from sepfacets.enumeration import connected_graphs
 from sepfacets.facets import (
-    _contract_flat_edges,
     _frontier_order,
     facet_count,
     facet_count_via_subgraphs,
     facet_functions,
-    facet_subgraphs,
 )
-from sepfacets.formulas import closed_form_count, cycle_count, parallel_paths_count, theta_count
+from sepfacets.formulas import (
+    closed_form_count,
+    cycle_count,
+    parallel_paths_count,
+    theta_count,
+    windmill_count,
+)
 from sepfacets.graph import (
     Graph,
     adjacency,
@@ -107,6 +113,16 @@ def test_disconnected_input_rejected():
         facet_subgraphs(Graph(4, ((0, 1), (2, 3))))
     with pytest.raises(ValueError):
         facet_count_via_subgraphs(Graph(4, ((0, 1), (2, 3))))
+
+
+def test_disconnected_input_with_enough_edges_rejected():
+    # two disjoint triangles pass the edge-count guard (m = 6 >= n - 1), and
+    # each triangle on its own is a block, so the block product needs its
+    # own connectivity check
+    two_triangles = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
+    for count in (facet_count, facet_count_via_subgraphs, facet_functions):
+        with pytest.raises(ValueError, match="connected"):
+            count(two_triangles)
 
 
 def test_too_few_edges_rejected_before_allocation(monkeypatch):
@@ -319,8 +335,8 @@ def test_complete_graph_on_eight_vertices():
 
 def test_second_path_checks_chain_states_at_21_vertices():
     # records 2-4 of a seeded (21, 30) chain: each has about 10^3 facet
-    # subgraphs but a count above 2.9 * 10^6; the windmill start (3^10
-    # subgraphs) is left to the closed forms
+    # subgraphs but a count above 2.9 * 10^6; the windmill start is checked
+    # in test_second_path_counts_windmills_block_by_block
     cfg = ChainConfig.for_samples(21, 30, 4, seed=7, burn_in=0, initial=windmill(21, 10))
     records = list(run_chain(cfg))[1:]
     assert [r.count for r in records] == [3096096, 2916096, 3720384]
@@ -330,7 +346,31 @@ def test_second_path_checks_chain_states_at_21_vertices():
         assert closed is None or closed == r.count, r.graph
 
 
-def test_contracting_a_non_facet_subgraph_raises():
-    # keeping only one triangle edge contracts its endpoints together
-    with pytest.raises(RuntimeError):
-        _contract_flat_edges(cycle(3), ((0, 1),))
+@pytest.mark.parametrize("n, r", [(21, 10), (31, 15), (61, 30)])
+def test_second_path_counts_windmills_block_by_block(n, r):
+    # a walk over the whole graph would reach 3^r colourings; one walk per
+    # triangle reaches 3r
+    assert facet_count_via_subgraphs(windmill(n, r)) == windmill_count(n, r)
+
+
+def test_second_path_walks_each_block_once(monkeypatch):
+    from sepfacets import facets
+
+    walk = facets._walk_facet_labelings
+    leaves = []
+
+    def counting_walk(g, on_leaf, two_colour=False):
+        def leaf(f):
+            leaves.append(g.n)
+            on_leaf(f)
+
+        walk(g, leaf, two_colour)
+
+    monkeypatch.setattr(facets, "_walk_facet_labelings", counting_walk)
+    # C5 on 0..4 and C7 on 5..11, joined by the bridge (0, 5)
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 7) for i in range(7)]
+    g = Graph(12, tuple(edges) + ((0, 5),))
+    want = 2 * 5 * math.comb(4, 2) * 7 * math.comb(6, 3)
+    assert facet_count_via_subgraphs(g) == want
+    assert sorted(leaves) == [5] * 5 + [7] * 7  # 5 + 7 leaves, not 5 * 7
+    assert facet_count(g) == closed_form_count(g) == want
