@@ -34,28 +34,19 @@ All arithmetic is exact integer arithmetic; nothing here touches floats.
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heappop, heappush
 
-from .graph import Graph, adjacency, biconnected_blocks
+from .graph import Graph, adjacency, bfs_order, biconnected_blocks
 
 
 def _bfs_order(adj: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """Breadth-first vertex order from 0 over the neighbor lists adj plus,
+    """:func:`~sepfacets.graph.bfs_order` over the neighbor lists adj plus,
     per position, the neighbors already placed.  Raises if the graph is
     disconnected."""
-    pos = {0: 0}
-    order = [0]
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in pos:
-                pos[w] = len(order)
-                order.append(w)
-                queue.append(w)
+    order = bfs_order(adj)
     if len(order) != len(adj):
         raise ValueError("graph must be connected")
+    pos = {v: i for i, v in enumerate(order)}
     prev = [[u for u in adj[v] if pos[u] < pos[v]] for v in order]
     return order, prev
 
@@ -300,20 +291,15 @@ def _block_product(g: Graph, block_count) -> int:
     """Product over the biconnected blocks of the connected graph g of 2
     per bridge (it steps up or down) and block_count(k, edges) per other
     block, relabelled to 0..k-1.  Labelings of the blocks glue uniquely, up
-    to a shift, at the cut vertices.  Raises if g is disconnected."""
-    blocks = biconnected_blocks(g)
-    vertex_sets = [sorted({v for e in block for v in e}) for block in blocks]
-    # a k-vertex block adds k - 1 vertices to the block tree of a connected
-    # graph, so the blocks of c components cover only n - c
-    if sum(len(vs) - 1 for vs in vertex_sets) != g.n - 1:
-        raise ValueError("graph must be connected")
+    to a shift, at the cut vertices.  The block split raises if g is
+    disconnected."""
     total = 1
-    for block, vs in zip(blocks, vertex_sets):
+    for block in biconnected_blocks(g):
         if len(block) == 1:
             total *= 2
         else:
-            index = {v: i for i, v in enumerate(vs)}
-            total *= block_count(len(vs), [(index[u], index[v]) for u, v in block])
+            index = {v: i for i, v in enumerate(sorted({v for e in block for v in e}))}
+            total *= block_count(len(index), [(index[u], index[v]) for u, v in block])
     return total
 
 

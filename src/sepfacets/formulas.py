@@ -12,7 +12,6 @@ total on the degenerate shapes the recursions produce.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import accumulate
@@ -22,14 +21,13 @@ from .enumeration import GuardExceeded
 from .graph import (
     Graph,
     MultigraphError,
-    as_path_vector,
     biconnected_blocks,
     cycle,
     cycle_with_tail,
     double_cycle,
-    is_connected,
     parallel_paths,
     path,
+    path_lengths,
     theta,
     wedge,
     windmill,
@@ -147,12 +145,10 @@ def same_parity_count(lengths) -> int:
     (mk - mt)/2 + j) over j = 0..mt: each facet is an assignment of +-1
     steps to the edges making every path climb by the same total.
     """
-    pv = as_path_vector(lengths)
+    pv = path_lengths(lengths)
     if len({x % 2 for x in pv}) > 1:
-        raise ValueError(
-            f"{pv.lengths} mixes parities; use parallel_paths_count instead"
-        )
-    return _same_parity(pv.lengths)
+        raise ValueError(f"{pv} mixes parities; use parallel_paths_count instead")
+    return _same_parity(pv)
 
 
 def theta_count(m: int, t: int) -> int:
@@ -171,7 +167,7 @@ def parallel_paths_count(lengths) -> int:
     one edge of every odd path does.  Unit odd paths contract to nothing,
     collapsing the endpoints, so that branch becomes a wedge of cycles.
     """
-    return _paths(as_path_vector(lengths).lengths, _same_parity)
+    return _paths(path_lengths(lengths), _same_parity)
 
 
 def path_run_ceilings(c: list[int], a: int, b: int, z: int, k: int):
@@ -233,27 +229,28 @@ def windmill_count(n: int, r: int) -> int:
 # recognizing formula-covered graphs
 # ---------------------------------------------------------------------------
 
-def _multipath_lengths(block: tuple[tuple[int, int], ...]) -> list[int] | None:
-    """If the 2-connected block consists of internally disjoint paths
-    between two branch vertices, return the path lengths, else None."""
-    deg = Counter()
+def _block_count(block: tuple[tuple[int, int], ...]) -> int | None:
+    """Facet count of a biconnected block that is a bridge, a cycle, or
+    internally disjoint paths between two branch vertices; None otherwise."""
+    m = len(block)
+    if m == 1:
+        return 2
+    nbr: dict[int, list[int]] = {}
     for u, v in block:
-        deg[u] += 1
-        deg[v] += 1
-    hubs = [v for v, d in deg.items() if d > 2]
+        nbr.setdefault(u, []).append(v)
+        nbr.setdefault(v, []).append(u)
+    hubs = [v for v, ws in nbr.items() if len(ws) > 2]
+    if not hubs:  # a connected 2-regular graph
+        return cycle_count(m)
     if len(hubs) != 2:
         return None
     a, b = hubs
-    nbr: dict[int, list[int]] = {v: [] for v in deg}
-    for u, v in block:
-        nbr[u].append(v)
-        nbr[v].append(u)
     lengths = []
     for start in nbr[a]:
         steps = 1
         prev, cur = a, start
         while cur not in (a, b):
-            if deg[cur] != 2:
+            if len(nbr[cur]) != 2:
                 return None
             nxt = nbr[cur][0] if nbr[cur][0] != prev else nbr[cur][1]
             prev, cur = cur, nxt
@@ -261,25 +258,9 @@ def _multipath_lengths(block: tuple[tuple[int, int], ...]) -> list[int] | None:
         if cur == a:
             return None
         lengths.append(steps)
-    if sum(lengths) != len(block):
+    if sum(lengths) != m:
         return None
-    return lengths
-
-
-def _block_count(block: tuple[tuple[int, int], ...]) -> int | None:
-    m = len(block)
-    if m == 1:
-        return 2
-    deg = Counter()
-    for u, v in block:
-        deg[u] += 1
-        deg[v] += 1
-    if m == len(deg) and all(d == 2 for d in deg.values()):
-        return cycle_count(m)
-    lengths = _multipath_lengths(block)
-    if lengths is not None:
-        return parallel_paths_count(lengths)
-    return None
+    return parallel_paths_count(lengths)
 
 
 def closed_form_count(g: Graph) -> int | None:
@@ -289,10 +270,9 @@ def closed_form_count(g: Graph) -> int | None:
     Blocks glue at cut vertices, i.e. the graph is an iterated wedge of its
     blocks, so facet counts multiply across them.  This covers trees,
     unicyclic graphs, windmills, wedges of cycles, and theta-like shapes
-    with trees attached -- every family with a closed form here.
+    with trees attached -- every family with a closed form here.  The
+    block split raises if g is disconnected.
     """
-    if not is_connected(g):
-        raise ValueError("closed_form_count needs a connected graph")
     total = 1
     for block in biconnected_blocks(g):
         c = _block_count(block)

@@ -14,7 +14,6 @@ counts have closed forms in :mod:`sepfacets.formulas`.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 
@@ -73,34 +72,20 @@ def adjacency(g: Graph) -> list[list[int]]:
     return adj
 
 
-@dataclass(frozen=True)
-class PathVector:
-    """Multiset of path lengths m1 >= m2 >= ... >= mt, all positive.
+def path_lengths(lengths) -> tuple[int, ...]:
+    """Path lengths m1 >= m2 >= ... >= mt, all positive, as a tuple.
 
     Any length vector is a legal *formula* argument.  Realizing it as a
     simple graph additionally requires at most one entry equal to 1
     (two unit paths between the same endpoints would be parallel edges);
     :func:`parallel_paths` enforces that.
     """
-
-    lengths: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.lengths:
-            raise ValueError("at least one path length required")
-        if any(x < 1 for x in self.lengths):
-            raise ValueError(f"path lengths must be >= 1, got {self.lengths}")
-        object.__setattr__(self, "lengths", tuple(sorted(self.lengths, reverse=True)))
-
-    def __len__(self) -> int:
-        return len(self.lengths)
-
-    def __iter__(self):
-        return iter(self.lengths)
-
-
-def as_path_vector(lengths) -> PathVector:
-    return lengths if isinstance(lengths, PathVector) else PathVector(tuple(lengths))
+    lengths = tuple(lengths)
+    if not lengths:
+        raise ValueError("at least one path length required")
+    if any(x < 1 for x in lengths):
+        raise ValueError(f"path lengths must be >= 1, got {lengths}")
+    return tuple(sorted(lengths, reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +166,11 @@ def parallel_paths(lengths) -> Graph:
     equal 1: a second unit path would be a parallel edge, which raises
     MultigraphError (use the closed forms for those shapes instead).
     """
-    pv = as_path_vector(lengths)
+    pv = path_lengths(lengths)
     if len(pv) < 2:
         raise ValueError("need at least two paths between the endpoints")
-    if sum(1 for x in pv if x == 1) > 1:
-        raise MultigraphError(
-            f"{pv.lengths} has more than one unit path; not a simple graph"
-        )
+    if pv.count(1) > 1:
+        raise MultigraphError(f"{pv} has more than one unit path; not a simple graph")
     top, bottom = 0, 1
     edges = []
     nxt = 2
@@ -233,80 +216,80 @@ def windmill(n: int, r: int) -> Graph:
 # predicates
 # ---------------------------------------------------------------------------
 
-def is_connected(g: Graph) -> bool:
-    """True when g has a single component (the empty graph is connected iff n <= 1)."""
-    if g.n <= 1:
-        return True
-    adj = adjacency(g)
-    seen = [False] * g.n
+def bfs_order(adj: list[list[int]]) -> list[int]:
+    """The vertices reachable from 0 over the neighbor lists adj, in
+    breadth-first order."""
+    seen = [False] * len(adj)
     seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        v = queue.popleft()
+    order = [0]
+    for v in order:  # order grows while it is walked: it is the queue
         for w in adj[v]:
             if not seen[w]:
                 seen[w] = True
-                count += 1
-                queue.append(w)
-    return count == g.n
+                order.append(w)
+    return order
+
+
+def is_connected(g: Graph) -> bool:
+    """True when g has a single component (the empty graph is connected iff n <= 1)."""
+    return g.n <= 1 or len(bfs_order(adjacency(g))) == g.n
 
 
 def biconnected_blocks(g: Graph) -> list[tuple[tuple[int, int], ...]]:
     """Edge sets of the biconnected components; bridges show up as 1-edge blocks.
 
     The block decomposition is exactly the iterated-wedge structure of the
-    graph, which is why facet counts multiply across blocks.
+    graph, which is why facet counts multiply across blocks.  The search
+    runs from vertex 0 only, so it raises if g is disconnected.
     """
+    if g.n <= 1:
+        return []
     adj = adjacency(g)
     disc = [0] * g.n
     low = [0] * g.n
     nxt = [0] * g.n
     parent = [-1] * g.n
-    timer = 1
+    disc[0] = low[0] = 1
+    timer = 2
     blocks: list[tuple[tuple[int, int], ...]] = []
     edge_stack: list[tuple[int, int]] = []
-
-    for root in range(g.n):
-        if disc[root]:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [root]
-        while stack:
-            v = stack[-1]
-            if nxt[v] < len(adj[v]):
-                w = adj[v][nxt[v]]
-                nxt[v] += 1
-                if w == parent[v]:
-                    continue
-                if not disc[w]:
-                    parent[w] = v
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    edge_stack.append((min(v, w), max(v, w)))
-                    stack.append(w)
-                elif disc[w] < disc[v]:
-                    # back edge to an ancestor; pushed once, from below
-                    edge_stack.append((min(v, w), max(v, w)))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
+    stack = [0]
+    while stack:
+        v = stack[-1]
+        if nxt[v] < len(adj[v]):
+            w = adj[v][nxt[v]]
+            nxt[v] += 1
+            if w == parent[v]:
                 continue
-            stack.pop()
-            if stack:
-                u = stack[-1]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] >= disc[u]:
-                    # u separates v's subtree: everything above (u,v) is one block
-                    block = []
-                    key = (min(u, v), max(u, v))
-                    while edge_stack:
-                        e = edge_stack.pop()
-                        block.append(e)
-                        if e == key:
-                            break
-                    blocks.append(tuple(sorted(block)))
+            if not disc[w]:
+                parent[w] = v
+                disc[w] = low[w] = timer
+                timer += 1
+                edge_stack.append((min(v, w), max(v, w)))
+                stack.append(w)
+            elif disc[w] < disc[v]:
+                # back edge to an ancestor; pushed once, from below
+                edge_stack.append((min(v, w), max(v, w)))
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+            continue
+        stack.pop()
+        if stack:
+            u = stack[-1]
+            if low[v] < low[u]:
+                low[u] = low[v]
+            if low[v] >= disc[u]:
+                # u separates v's subtree: everything above (u,v) is one block
+                block = []
+                key = (min(u, v), max(u, v))
+                while edge_stack:
+                    e = edge_stack.pop()
+                    block.append(e)
+                    if e == key:
+                        break
+                blocks.append(tuple(sorted(block)))
+    if timer <= g.n:
+        raise ValueError("graph must be connected")
     return blocks
 
 

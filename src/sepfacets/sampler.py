@@ -243,21 +243,19 @@ def run_chain(cfg: ChainConfig) -> Iterator[SampleRecord]:
 # figure data
 # ---------------------------------------------------------------------------
 
-def _meta_lines(cfg: ChainConfig | None, deterministic: bool) -> list[str]:
-    lines = []
-    if cfg is not None:
-        meta = cfg.metadata()
-        lines.append("# " + " ".join(f"{k}={meta[k]}" for k in meta))
+def _metadata(cfg: ChainConfig, deterministic: bool) -> dict:
+    """The config's metadata plus, unless deterministic, the UTC time as
+    'generated'."""
+    meta = cfg.metadata()
     if not deterministic:
-        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        lines.append(f"# generated={stamp}")
-    return lines
+        meta["generated"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    return meta
 
 
 def figure_csv(
     records: list[SampleRecord],
     mode: str,
-    cfg: ChainConfig | None = None,
+    cfg: ChainConfig,
     deterministic: bool = False,
 ) -> str:
     """CSV for plotting: per-sample scatter rows or an exact histogram.
@@ -269,7 +267,11 @@ def figure_csv(
     """
     if not records:
         raise ValueError("no records to emit")
-    lines = _meta_lines(cfg, deterministic)
+    meta = _metadata(cfg, deterministic)
+    stamp = meta.pop("generated", None)
+    lines = ["# " + " ".join(f"{k}={v}" for k, v in meta.items())]
+    if stamp is not None:
+        lines.append(f"# generated={stamp}")
     if mode == "scatter":
         lines.append("n,log10_facets,ref_log10")
         for r in records:
@@ -289,17 +291,12 @@ def figure_csv(
 
 def records_jsonl(
     records: list[SampleRecord],
-    cfg: ChainConfig | None = None,
+    cfg: ChainConfig,
     deterministic: bool = False,
 ) -> str:
     """JSON-lines dump with full graph serializations; counts are decimal
     strings since they outgrow doubles quickly."""
-    out = []
-    if cfg is not None:
-        meta = dict(cfg.metadata())
-        if not deterministic:
-            meta["generated"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        out.append(json.dumps({"meta": meta}, sort_keys=True))
+    out = [json.dumps({"meta": _metadata(cfg, deterministic)}, sort_keys=True)]
     for r in records:
         out.append(
             json.dumps(

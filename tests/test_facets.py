@@ -116,13 +116,29 @@ def test_disconnected_input_rejected():
 
 
 def test_disconnected_input_with_enough_edges_rejected():
-    # two disjoint triangles pass the edge-count guard (m = 6 >= n - 1), and
-    # each triangle on its own is a block, so the block product needs its
-    # own connectivity check
+    # both pass the edge-count guard (m >= n - 1), and each triangle on its
+    # own is a block, so the block split must notice the unreached vertices
     two_triangles = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
-    for count in (facet_count, facet_count_via_subgraphs, facet_functions):
-        with pytest.raises(ValueError, match="connected"):
-            count(two_triangles)
+    triangle_edge_isolated = Graph(5, ((0, 1), (0, 2), (1, 2), (0, 3)))
+    for g in (two_triangles, triangle_edge_isolated):
+        for count in (facet_count, facet_count_via_subgraphs, facet_functions):
+            with pytest.raises(ValueError, match="connected"):
+                count(g)
+
+
+def test_frontier_count_uses_no_block_split_or_bfs(monkeypatch):
+    # the two counters stay independent: facet_count orders its own search
+    from sepfacets import facets
+
+    def forbidden(*args):
+        raise AssertionError("facet_count reached the second path's helpers")
+
+    monkeypatch.setattr(facets, "biconnected_blocks", forbidden)
+    monkeypatch.setattr(facets, "bfs_order", forbidden)
+    assert facet_count(windmill(7, 2)) == windmill_count(7, 2)
+    assert facet_count(theta(3, 3)) == theta_count(3, 3)
+    with pytest.raises(ValueError, match="connected"):
+        facet_count(Graph(5, ((0, 1), (0, 2), (1, 2), (0, 3))))
 
 
 def test_too_few_edges_rejected_before_allocation(monkeypatch):

@@ -389,8 +389,13 @@ def test_closed_form_count_families():
 def test_closed_form_count_unknown_block():
     k4 = Graph(4, tuple((a, b) for a in range(4) for b in range(a + 1, 4)))
     assert closed_form_count(k4) is None
-    with pytest.raises(ValueError):
-        closed_form_count(Graph(4, ((0, 1), (2, 3))))
+    # the last two have m >= n - 1 and a closed form for every block, so
+    # only the block split can notice that they are disconnected
+    two_triangles = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
+    triangle_edge_isolated = Graph(5, ((0, 1), (0, 2), (1, 2), (0, 3)))
+    for g in (Graph(4, ((0, 1), (2, 3))), two_triangles, triangle_edge_isolated):
+        with pytest.raises(ValueError, match="connected"):
+            closed_form_count(g)
 
 
 def test_family_spec_counts():

@@ -6,7 +6,8 @@ from sepfacets.graph import (
     Graph,
     MultigraphError,
     ParseError,
-    PathVector,
+    adjacency,
+    bfs_order,
     biconnected_blocks,
     cycle,
     cycle_with_tail,
@@ -17,6 +18,7 @@ from sepfacets.graph import (
     parallel_paths,
     parse_graph,
     path,
+    path_lengths,
     serialize_graph,
     theta,
     wedge,
@@ -147,18 +149,21 @@ def test_windmill_shapes():
 
 
 def test_path_vector_sorts_and_validates():
-    pv = PathVector((2, 4, 2))
-    assert pv.lengths == (4, 2, 2)
-    with pytest.raises(ValueError):
-        PathVector(())
-    with pytest.raises(ValueError):
-        PathVector((3, 0))
+    assert path_lengths((2, 4, 2)) == (4, 2, 2)
+    with pytest.raises(ValueError, match="at least one"):
+        path_lengths(())
+    with pytest.raises(ValueError, match=r"got \(3, 0\)"):
+        path_lengths((3, 0))
 
 
 def test_connectivity_and_coloring():
     two_edges = Graph(4, ((0, 1), (2, 3)))
     assert not is_connected(two_edges)
+    assert bfs_order(adjacency(two_edges)) == [0, 1]
     assert is_connected(Graph(1, ()))
+    assert bfs_order(adjacency(Graph(1, ()))) == [0]
+    assert is_connected(cycle(6))
+    assert bfs_order(adjacency(cycle(6))) == [0, 1, 5, 2, 4, 3]
     assert is_bipartite(cycle(6))
     col = two_coloring(cycle(6))
     assert col is not None
@@ -176,6 +181,17 @@ def test_blocks_decomposition():
     assert sorted(len(b) for b in blocks) == [1, 1, 3, 3]
     # every edge lands in exactly one block
     assert sorted(e for b in blocks for e in b) == sorted(windmill(7, 2).edges)
+    assert biconnected_blocks(Graph(1, ())) == []
+
+
+def test_blocks_reject_disconnected_graphs():
+    # each part on its own splits into blocks; the search from vertex 0
+    # must notice the vertices it never reached
+    two_triangles = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
+    triangle_edge_isolated = Graph(5, ((0, 1), (0, 2), (1, 2), (0, 3)))
+    for g in (two_triangles, triangle_edge_isolated, Graph(4, ((0, 1), (2, 3)))):
+        with pytest.raises(ValueError, match="connected"):
+            biconnected_blocks(g)
 
 
 def test_parse_basic():
