@@ -6,14 +6,20 @@ unit-difference edges E_f = {uv : |f(u) - f(v)| = 1} form a spanning
 connected subgraph.  Labelings are normalized so their minimum value is 0.
 
 There are three paths to these labelings; the two counters never share
-search code and must always agree:
+search code and must always agree (on graphs that fold completely,
+facet_count reduces to the closed forms' binomials, so there the second
+path is the independent check):
 
-* :func:`facet_count` counts the labelings without listing them, by a
-  frontier dynamic program over a greedy vertex order.  A state is the
-  labels of the frontier (placed vertices with unplaced neighbors),
-  shifted to minimum 0, together with the partition of the frontier into
-  unit-difference components; its work grows with the frontier width,
-  not with the number of facets.
+* :func:`facet_count` counts the labelings without listing them.  It
+  first folds away every vertex of degree <= 2: leaves, chains and
+  parallel gadgets become factors and weighted edges, whose weights count
+  the labelings of the vertices inside them (chains by binomials, as the
+  closed forms do).  A frontier dynamic program over a greedy vertex order
+  then counts the weighted core that is left.  A state is the labels of
+  the frontier (placed vertices with unplaced neighbors), shifted to
+  minimum 0, together with the partition of the frontier into
+  unit-difference components; its work grows with the frontier width of
+  the core, not with the number of facets.
 
 * :func:`facet_functions` lists the labelings by depth-first assignment
   along a breadth-first vertex order rooted at vertex 0, pruning branches
@@ -35,7 +41,9 @@ All arithmetic is exact integer arithmetic; nothing here touches floats.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from operator import add, mul
 
+from .formulas import _binom_slice, cycle_count
 from .graph import Graph, adjacency, bfs_order, biconnected_blocks
 
 
@@ -214,25 +222,158 @@ def _frontier_order(adj: list[list[int]]) -> list[int]:
         v = heappop(heap)[2]
 
 
+# ---------------------------------------------------------------------------
+# facet_count: series-parallel folding, then a frontier DP on the core
+# ---------------------------------------------------------------------------
+#
+# An edge of the folded graph stands for a gadget of plain edges between its
+# ends u and w: an int L is a chain of L plain edges, and a triple
+# (s, conn, split) holds two lists indexed by d + s for d = f(w) - f(u) in
+# -s..s.  conn[d] counts the labelings of the inner vertices that put all
+# of them in the unit-step component joining u and w; split[d] counts those
+# in which u and w are not joined through the gadget and every inner vertex
+# is joined to one of them.  Both are even in d, so an edge has no direction.
+
+def _span(e) -> int:
+    return e if isinstance(e, int) else e[0]
+
+
+def _weights(e, r: int) -> tuple[list[int], list[int]]:
+    """conn and split of edge e at d = -r..r, for 1 <= r <= its span.  A
+    chain of L edges has conn[d] = binom(L, (L+d)/2) (every step a unit
+    step) and split[d] = L*binom(L-1, (L-1+d)/2) (exactly one flat step)."""
+    if not isinstance(e, int):
+        s, conn, split = e
+        return conn[s - r:s + r + 1], split[s - r:s + r + 1]
+    p = (e + r) % 2  # conn lives on d = -r + p, -r + p + 2, ...
+    conn = [0] * (2 * r + 1)
+    split = conn[:]
+    conn[p::2] = _binom_slice(e, (e - r + p) // 2, r + 1 - p)
+    split[1 - p::2] = [e * b for b in _binom_slice(e - 1, (e - r - p) // 2, r + p)]
+    return conn, split
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _series(e1, e2):
+    """e1 and e2 joined at a vertex of degree 2, which joins both ends or
+    hangs off one of them through the other edge.  Two chains make one."""
+    if isinstance(e1, int) and isinstance(e2, int):
+        return e1 + e2
+    (c1, s1), (c2, s2) = _weights(e1, _span(e1)), _weights(e2, _span(e2))
+    split = list(map(add, _convolve(s1, c2), _convolve(c1, s2)))
+    return (_span(e1) + _span(e2), _convolve(c1, c2), split)
+
+
+def _parallel(e1, e2):
+    """e1 and e2 between the same two ends: joined when either is, split
+    only when both are."""
+    r = min(_span(e1), _span(e2))
+    (c1, s1), (c2, s2) = _weights(e1, r), _weights(e2, r)
+    conn = [a * (b + q) + p * b for a, p, b, q in zip(c1, s1, c2, s2)]
+    return (r, conn, list(map(mul, s1, s2)))
+
+
+def _fold(g: Graph) -> tuple[int, list]:
+    """Fold the series-parallel structure out of g, starting from plain
+    edges (chains of length 1), until every vertex left has degree >= 3 or
+    is isolated.  Returns the product of what left the graph and, per
+    vertex, None if it left, else its neighbor -> edge map:
+
+    * a leaf takes the sum of its edge's conn (2^L for a chain);
+    * a vertex of degree 2 leaves, its two edges joined by :func:`_series`;
+    * an edge parallel to an old one merges with it by :func:`_parallel`,
+      and if that leaves one end hanging, the two close a cycle through the
+      other end, which takes the sum of the merged conn (cycle_count(L1 +
+      L2) for two chains).
+
+    Each connected part of g keeps at least one vertex.  Degree-2 vertices
+    next to a weighted edge wait until the chains have folded, so a long
+    chain is convolved once, not edge by edge."""
+    nb: list = [{} for _ in range(g.n)]
+    for u, v in g.edges:
+        nb[u][v] = nb[v][u] = 1
+    factor, shift = 1, 0  # pendant chains give powers of 2
+    todo = [v for v in range(g.n) if len(nb[v]) <= 2]
+    later = []
+    while todo or later:
+        deferred = not todo
+        v = (todo or later).pop()
+        ends = nb[v]
+        if not ends:  # gone, or isolated
+            continue
+        if not deferred and len(ends) == 2 and not all(isinstance(e, int) for e in ends.values()):
+            later.append(v)
+            continue
+        nb[v] = None
+        if len(ends) == 1:
+            (u, e), = ends.items()
+            del nb[u][v]
+            if isinstance(e, int):
+                shift += e
+            else:
+                factor *= sum(e[1])
+            touched = (u,)
+        else:
+            (u, e1), (w, e2) = ends.items()
+            del nb[u][v], nb[w][v]
+            e = _series(e1, e2)
+            old = nb[u].get(w)
+            if old is None:
+                nb[u][w] = nb[w][u] = e
+                continue
+            if len(nb[u]) == 1:
+                u, w = w, u
+            if len(nb[w]) == 1:  # w hangs off u
+                if isinstance(e, int) and isinstance(old, int):
+                    factor *= cycle_count(e + old)
+                else:
+                    factor *= sum(_parallel(e, old)[1])
+                nb[w] = None
+                del nb[u][w]
+                touched = (u,)
+            else:
+                nb[u][w] = nb[w][u] = _parallel(e, old)
+                touched = (u, w)
+        todo += [t for t in touched if len(nb[t]) <= 2]
+    return factor << shift, nb
+
+
 def facet_count(g: Graph) -> int:
     """Number of facets of the symmetric edge polytope of g (exact).
 
-    Places the vertices in :func:`_frontier_order` and keeps, per frontier
-    state, the exact number of partial labelings that reach it.  A state
-    maps the frontier positions to labels shifted to minimum 0 (labelings
-    are counted up to an additive constant) and to unit-difference
-    component ids numbered by first occurrence.  A placed vertex takes
-    every label within 1 of all its placed neighbors and joins the
-    components of the neighbors it differs from by exactly 1.  A component
-    with no member left on the frontier can never grow again, so the state
-    dies unless that was the last vertex; at the last vertex only the
-    labelings whose unit-difference edges form one component count.
+    :func:`_fold` removes every vertex of degree <= 2 into weighted edges
+    and a factor.  If more than one vertex is left, the frontier DP counts
+    the labelings of that core: its vertices are placed in
+    :func:`_frontier_order`, keeping per frontier state the exact number of
+    partial labelings that reach it.  A state maps the frontier positions
+    to labels shifted to minimum 0 (labelings are counted up to an additive
+    constant) and to unit-step component ids numbered by first occurrence.
+    A placed vertex takes every label whose difference d to each placed
+    neighbor has a nonzero weight on their edge, times conn[d], joining the
+    two components, or split[d], keeping them apart.  A plain edge never
+    offers both.  A component with no member left on the frontier can never
+    grow again, so the state dies unless that was the last vertex; at the
+    last vertex only the labelings that leave one component count.
     """
-    n = g.n
-    if g.m < max(n - 1, 1):  # fewer edges cannot connect; before any allocation
+    if g.m < max(g.n - 1, 1):  # fewer edges cannot connect; before any allocation
         raise ValueError("facet counting needs a connected graph with >= 1 edge")
-    adj = adjacency(g)
-    order = _frontier_order(adj)
+    factor, nb = _fold(g)
+    core = [v for v in range(g.n) if nb[v] is not None]
+    if len(core) == 1:
+        return factor
+    index = {v: i for i, v in enumerate(core)}
+    adj = [[index[u] for u in nb[v]] for v in core]
+    weight = [{index[u]: (_span(e), *_weights(e, _span(e))) for u, e in nb[v].items()} for v in core]
+    n = len(core)
+    order = _frontier_order(adj)  # raises if g, and so the core, is disconnected
     remaining = [len(a) for a in adj]  # unplaced-neighbor counts
     for u in adj[order[0]]:
         remaining[u] -= 1
@@ -244,7 +385,7 @@ def facet_count(g: Graph) -> int:
         v = order[i]
         for p, u in enumerate(frontier):
             slot[u] = p
-        nbs = [slot[u] for u in adj[v] if slot[u] >= 0]
+        nbs = [(slot[u], *weight[v][u]) for u in adj[v] if slot[u] >= 0]
         for u in adj[v]:
             remaining[u] -= 1
         kept = [p for p, u in enumerate(frontier) if remaining[u]]
@@ -253,34 +394,50 @@ def facet_count(g: Graph) -> int:
         new: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         canon: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
         for (labels, comps), cnt in states.items():
-            nl = [labels[p] for p in nbs]
-            nc = [comps[p] for p in nbs]
             ncomp = max(comps) + 1
-            if last:  # every frontier vertex neighbors v
-                for x in range(max(nl) - 1, min(nl) + 2):
-                    if len({c for l, c in zip(nl, nc) if l - x in (1, -1)}) == ncomp:
-                        total += cnt
-                continue
             kl = [labels[p] for p in kept]
             kc = [comps[p] for p in kept]
-            for x in range(max(nl) - 1, min(nl) + 2):
-                merged = {c for l, c in zip(nl, nc) if l - x in (1, -1)}
-                raw = tuple([-1 if c in merged else c for c in kc])  # -1: v's component
-                if stays:
-                    raw += (-1,)
-                hit = canon.get(raw)
-                if hit is None:
-                    ids: dict[int, int] = {}
-                    hit = canon[raw] = (tuple([ids.setdefault(c, len(ids)) for c in raw]), len(ids))
-                if hit[1] != ncomp - len(merged) + 1:
-                    continue  # a component left the frontier for good
-                labs = kl + [x] if stays else kl
-                m = min(labs)
-                key = (tuple([l - m for l in labs]) if m else tuple(labs), hit[0])
-                new[key] = new.get(key, 0) + cnt
+            lo = max([labels[p] - s for p, s, _, _ in nbs])
+            hi = min([labels[p] + s for p, s, _, _ in nbs])
+            for x in range(lo, hi + 1):
+                w, joined, forks = cnt, set(), []
+                for p, s, conn, split in nbs:
+                    d = x - labels[p] + s
+                    a, b = conn[d], split[d]
+                    if a and b:
+                        forks.append((comps[p], a, b))
+                    elif a:
+                        w *= a
+                        joined.add(comps[p])
+                    elif b:
+                        w *= b
+                    else:
+                        break
+                else:
+                    ways = [(w, joined)]
+                    for c, a, b in forks:
+                        ways = [(w * a, j | {c}) for w, j in ways] + [(w * b, j) for w, j in ways]
+                    for w, merged in ways:
+                        if last:  # every frontier vertex neighbors v
+                            if len(merged) == ncomp:
+                                total += w
+                            continue
+                        raw = tuple([-1 if c in merged else c for c in kc])  # -1: v's component
+                        if stays:
+                            raw += (-1,)
+                        hit = canon.get(raw)
+                        if hit is None:
+                            ids: dict[int, int] = {}
+                            hit = canon[raw] = (tuple([ids.setdefault(c, len(ids)) for c in raw]), len(ids))
+                        if hit[1] != ncomp - len(merged) + 1:
+                            continue  # a component left the frontier for good
+                        labs = kl + [x] if stays else kl
+                        m = min(labs)
+                        key = (tuple([l - m for l in labs]) if m else tuple(labs), hit[0])
+                        new[key] = new.get(key, 0) + w
         frontier = [frontier[p] for p in kept] + ([v] if stays else [])
         states = new
-    return total
+    return factor * total
 
 
 # ---------------------------------------------------------------------------

@@ -315,8 +315,10 @@ _FAMILIES = {
 
 # Largest member, in vertices, that `formula` evaluates and `count --family`
 # builds (`paths` with 100000 lengths of 2 just fits).  At the cap, `count
-# --family` peaks near 63 MB and the slowest formula (two long paths) takes
-# about 105 s at 16 MB on a 2-core host; a count has at most 1.6e5 bits.
+# --family` on a cycle, tree, windmill or short paths peaks under 100 MB,
+# long parallel paths hold O(M) weights of O(M) bits, and the slowest
+# formula (two long paths) takes about 105 s at 16 MB on a 2-core host; a
+# count has at most 1.6e5 bits.
 MAX_FAMILY_VERTICES = 100_002
 
 

@@ -338,6 +338,28 @@ def test_formula_paths_with_many_lengths_prints():
 
 
 @pytest.mark.parametrize(
+    "family",
+    [["cycle", "100002"], ["tree", "100002"], ["windmill", "100001", "50000"],
+     ["paths", "200", "200", "200"], ["paths", *["2"] * 100000]],
+    ids=["cycle", "tree", "windmill", "paths-200x3", "paths-2x100000"],
+)
+def test_count_family_at_the_cap_matches_formula(family):
+    # counting folds the chains of these members away, so each finishes
+    # within a minute; child processes, as the paths formula needs one
+    src = Path(__file__).resolve().parent.parent / "src"
+
+    def run(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sepfacets.cli", *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert run("count", "--family", *family) == run("formula", *family)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["formula", "tree", "100000000000"],

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from random import Random
 
 import pytest
@@ -115,15 +116,22 @@ def test_disconnected_input_rejected():
         facet_count_via_subgraphs(Graph(4, ((0, 1), (2, 3))))
 
 
+# each passes the edge-count guard (m >= n - 1), and each part folds to a
+# single vertex in facet_count, so the parts left over must be noticed
+TWO_TRIANGLES = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
+TRIANGLE_EDGE_ISOLATED = Graph(5, ((0, 1), (0, 2), (1, 2), (0, 3)))
+PATH_AND_CYCLE = Graph(7, ((0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (3, 6)))
+TWO_K4 = Graph(8, tuple((u + k, v + k) for k in (0, 4) for u in range(4) for v in range(u + 1, 4)))
+
+
 def test_disconnected_input_with_enough_edges_rejected():
-    # both pass the edge-count guard (m >= n - 1), and each triangle on its
-    # own is a block, so the block split must notice the unreached vertices
-    two_triangles = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
-    triangle_edge_isolated = Graph(5, ((0, 1), (0, 2), (1, 2), (0, 3)))
-    for g in (two_triangles, triangle_edge_isolated):
+    for g in (TWO_TRIANGLES, TRIANGLE_EDGE_ISOLATED, PATH_AND_CYCLE):
         for count in (facet_count, facet_count_via_subgraphs, facet_functions):
             with pytest.raises(ValueError, match="connected"):
                 count(g)
+    for g in (TWO_TRIANGLES, TRIANGLE_EDGE_ISOLATED, PATH_AND_CYCLE, TWO_K4):
+        with pytest.raises(ValueError, match="^graph must be connected$"):
+            facet_count(g)
 
 
 def test_frontier_count_uses_no_block_split_or_bfs(monkeypatch):
@@ -137,8 +145,12 @@ def test_frontier_count_uses_no_block_split_or_bfs(monkeypatch):
     monkeypatch.setattr(facets, "bfs_order", forbidden)
     assert facet_count(windmill(7, 2)) == windmill_count(7, 2)
     assert facet_count(theta(3, 3)) == theta_count(3, 3)
-    with pytest.raises(ValueError, match="connected"):
-        facet_count(Graph(5, ((0, 1), (0, 2), (1, 2), (0, 3))))
+    assert facet_count(cycle(40)) == cycle_count(40)
+    assert facet_count(parallel_paths([7, 4, 3, 2])) == parallel_paths_count([7, 4, 3, 2])
+    assert facet_count(windmill(31, 15)) == windmill_count(31, 15)
+    for g in (TWO_TRIANGLES, TRIANGLE_EDGE_ISOLATED, PATH_AND_CYCLE, TWO_K4):
+        with pytest.raises(ValueError, match="^graph must be connected$"):
+            facet_count(g)
 
 
 def test_too_few_edges_rejected_before_allocation(monkeypatch):
@@ -314,12 +326,16 @@ def test_frontier_order_matches_full_scan_around_hubs():
 
 
 def test_star_counts_at_4001_vertices():
-    # around a 4000-leaf hub, where the order used to cost quadratic time
-    assert facet_count(windmill(4001, 0)) == 2**4000
+    # around a 4000-leaf hub, where the order used to cost quadratic time;
+    # the count folds the leaves away, so the order is run on its own too
+    g = windmill(4001, 0)
+    assert facet_count(g) == 2**4000
+    order = _frontier_order(adjacency(g))
+    assert order[0] == 0 and sorted(order) == list(range(4001))
 
 
 def test_star_counts_at_8001_vertices():
-    # each leaf reads its placed neighbor from its own list, not from the hub's
+    # the leaves fold one by one into a power of 2, kept as one shift
     assert facet_count(windmill(8001, 0)) == 2**8000
 
 
@@ -328,6 +344,102 @@ def test_count_matches_reference_scan_on_random_graphs():
     for _ in range(300):
         g = random_connected_graph(rng)
         assert facet_count(g) == reference_facet_count(g), g
+
+
+K4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _grown_graph(rng: Random, n: int) -> Graph:
+    """A connected graph on n vertices grown from one vertex, one edge or
+    K4 by the shapes that facet_count folds: subdivided edges, pendant
+    vertices, cycles hanging off one vertex and chains between two."""
+    size, edges = rng.choice([(1, []), (2, [(0, 1)])] + [(4, list(K4))] * (n >= 4))
+    while size < n:
+        kind = rng.choice(["subdivide", "pendant", "cycle", "chain"])
+        inner = rng.randint(1, n - size)
+        if kind == "subdivide" and edges:
+            u, w = edges.pop(rng.randrange(len(edges)))
+            edges += [(u, size), (size, w)]
+            size += 1
+        elif kind == "pendant":
+            edges.append((rng.randrange(size), size))
+            size += 1
+        elif kind in ("cycle", "chain") and inner >= (2 if kind == "cycle" else 1) and size >= 1 + (kind == "chain"):
+            ends = [rng.randrange(size)] * 2 if kind == "cycle" else rng.sample(range(size), 2)
+            walk = [ends[0], *range(size, size + inner), ends[1]]
+            edges += zip(walk, walk[1:])
+            size += inner
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(Graph(n, tuple(edges)), perm)
+
+
+def _fold_spies(monkeypatch) -> Counter:
+    """Count the folding rules that facet_count applies."""
+    from sepfacets import facets
+
+    fired: Counter = Counter()
+
+    def spy(name, kind):
+        fn = getattr(facets, name)
+
+        def wrapped(*args):
+            fired[kind(*args)] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(facets, name, wrapped)
+
+    spy("_series", lambda a, b: "chain series" if isinstance(a, int) and isinstance(b, int) else "weighted series")
+    spy("_parallel", lambda a, b: "parallel")
+    spy("cycle_count", lambda m: "chain cycle")
+    spy("_frontier_order", lambda adj: "core")
+    return fired
+
+
+def test_count_matches_reference_scan_on_grown_graphs(monkeypatch):
+    # the folding rules checked against the labeling scan, which shares
+    # nothing with them; K4 with edge 01 subdivided and a chain parallel to
+    # edge 23 folds to a core with plain, chain and weighted edges; two
+    # triangles on edges 01 and 03, joined by edge 13, fold through
+    # weighted edges in series
+    from sepfacets.facets import _fold
+
+    mixed = Graph(6, K4[1:] + ((0, 4), (4, 1), (2, 5), (5, 3)))
+    _, nb = _fold(mixed)
+    assert sorted(map(str, nb[0].values())) == ["1", "1", "2"]
+    assert isinstance(nb[2][3], tuple)
+    fired = _fold_spies(monkeypatch)
+    rng = Random(17)
+    two_triangles = Graph(5, ((0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (0, 4), (1, 3)))
+    graphs = [mixed, two_triangles] + [_grown_graph(rng, rng.randint(3, 6)) for _ in range(60)]
+    for g in graphs:
+        assert facet_count(g) == reference_facet_count(g), g
+    assert set(fired) == {"chain series", "weighted series", "parallel", "chain cycle", "core"}
+
+
+def test_counts_agree_on_grown_graphs(monkeypatch):
+    # larger graphs of the same shapes, against the second path
+    fired = _fold_spies(monkeypatch)
+    rng = Random(23)
+    for _ in range(150):
+        g = _grown_graph(rng, rng.randint(5, 14))
+        assert facet_count(g) == facet_count_via_subgraphs(g), g
+    assert set(fired) == {"chain series", "weighted series", "parallel", "chain cycle", "core"}
+
+
+def test_counts_agree_on_sparse_classes():
+    # with at most two independent cycles there is no K4 minor, so each
+    # class folds to one vertex and only the second path searches
+    from sepfacets.facets import _fold
+
+    sparse = [g for n in range(3, 10) for e in (n - 1, n, n + 1) for g in connected_graphs(n, e, guard=None)]
+    assert len(sparse) == 1601
+    for g in sparse:
+        assert sum(ends is not None for ends in _fold(g)[1]) == 1, g
+        c = facet_count(g)
+        assert c == facet_count_via_subgraphs(g), g
+        closed = closed_form_count(g)
+        assert closed is None or closed == c, g
 
 
 @pytest.mark.parametrize(
