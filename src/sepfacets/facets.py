@@ -30,16 +30,20 @@ path is the independent check):
   blocks of the graph, since facet labelings of the blocks glue uniquely
   up to a shift at the cut vertices.  In each block it lists the maximal
   connected spanning bipartite subgraphs (every E_f is one of these) by
-  the same pruned walk over 2-colourings, contracts the remaining edges,
-  and counts the labelings in which *every* edge of the contraction is a
-  unit step, again as a product over blocks.  Its work follows the
-  number of subgraphs per block, not the number of facets.
+  the same pruned walk over 2-colourings, contracts the remaining edges
+  into part pairs, and counts the labelings in which *every* edge of the
+  contraction is a unit step: 2 per edge of a tree, 2 per peeled leaf,
+  C(L, L/2) for a cycle of even length L, and otherwise a frontier DP
+  over unit steps whose results are cached per block, keyed by the
+  relabelled edge set.  Its work follows the number of subgraphs per
+  block, not the number of facets.
 
 All arithmetic is exact integer arithmetic; nothing here touches floats.
 """
 
 from __future__ import annotations
 
+import math
 from heapq import heappop, heappush
 from operator import add, mul
 
@@ -444,58 +448,125 @@ def facet_count(g: Graph) -> int:
 # second, independent counting path
 # ---------------------------------------------------------------------------
 
-def _block_product(g: Graph, block_count) -> int:
-    """Product over the biconnected blocks of the connected graph g of 2
-    per bridge (it steps up or down) and block_count(k, edges) per other
-    block, relabelled to 0..k-1.  Labelings of the blocks glue uniquely, up
-    to a shift, at the cut vertices.  The block split raises if g is
-    disconnected."""
-    total = 1
-    for block in biconnected_blocks(g):
-        if len(block) == 1:
-            total *= 2
-        else:
-            index = {v: i for i, v in enumerate(sorted({v for e in block for v in e}))}
-            total *= block_count(len(index), [(index[u], index[v]) for u, v in block])
-    return total
+def _unit_order(adj: list[list[int]]) -> list[int]:
+    """Vertex order for :func:`_count_all_unit_labelings` over the neighbor
+    lists adj of a connected graph.  It starts at a vertex of least degree
+    and always places next a vertex with a placed neighbor, choosing the
+    one that grows the frontier least; ties go to the vertex with more
+    placed neighbors, then to the smaller index.  Each step scans every
+    candidate, which is cheap on the contractions of one block."""
+    undeg = [len(a) for a in adj]  # unplaced-neighbor counts
+    placed = [False] * len(adj)
+    v = min(range(len(adj)), key=undeg.__getitem__)
+    order: list[int] = []
+    near: set[int] = set()
+    while True:
+        order.append(v)
+        placed[v] = True
+        near.discard(v)
+        for u in adj[v]:
+            undeg[u] -= 1
+            if not placed[u]:
+                near.add(u)
+        if len(order) == len(adj):
+            return order
+        v = min(near, key=lambda w: ((undeg[w] > 0) - sum([placed[u] and undeg[u] == 1 for u in adj[w]]),
+                                     undeg[w] - len(adj[w]), w))
 
 
-def _count_all_unit_labelings(k: int, edges: list[tuple[int, int]]) -> int:
-    """Labelings of a biconnected block on 0..k-1 in which every edge is a
-    unit step, with one vertex pinned to 0."""
+def _count_all_unit_labelings(k: int, edges) -> int:
+    """Labelings of a connected graph on 0..k-1, up to an additive
+    constant, in which every edge is a unit step.  A frontier dynamic
+    program along :func:`_unit_order`: a state is the labels of the placed
+    vertices with unplaced neighbors, shifted to minimum 0, and holds the
+    number of partial labelings that reach it.  A vertex takes every label
+    one step from each of its placed neighbors: two if their labels agree,
+    the middle one if they are two apart with none in the middle, else
+    none."""
     adj: list[list[int]] = [[] for _ in range(k)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    order, prev = _bfs_order(adj)
-    f = [0] * k
-    count = 0
-
-    def rec(idx: int) -> None:
-        nonlocal count
-        ps = prev[idx]
-        base = f[ps[0]]
-        for label in (base - 1, base + 1):
-            if any(abs(f[u] - label) != 1 for u in ps[1:]):
-                continue
-            f[order[idx]] = label
-            if idx + 1 == k:
-                count += 1
+    order = _unit_order(adj)
+    remaining = [len(a) for a in adj]  # unplaced-neighbor counts
+    for u in adj[order[0]]:
+        remaining[u] -= 1
+    frontier = [order[0]]
+    slot = [-1] * k  # frontier positions; placed neighbors of unplaced vertices stay on it
+    states = {(0,): 1}
+    for v in order[1:]:
+        for p, u in enumerate(frontier):
+            slot[u] = p
+        nbs = [slot[u] for u in adj[v] if slot[u] >= 0]
+        for u in adj[v]:
+            remaining[u] -= 1
+        kept = [p for p, u in enumerate(frontier) if remaining[u]]
+        stays = remaining[v] > 0
+        new: dict[tuple[int, ...], int] = {}
+        for labels, cnt in states.items():
+            ls = [labels[p] for p in nbs]
+            lo, hi = min(ls), max(ls)
+            if lo == hi:
+                xs = (lo - 1, lo + 1)
+            elif hi - lo == 2 and lo + 1 not in ls:
+                xs = (lo + 1,)
             else:
-                rec(idx + 1)
+                continue
+            kl = [labels[p] for p in kept]
+            for x in xs:
+                labs = kl + [x] if stays else kl
+                m = min(labs, default=0)
+                key = tuple([l - m for l in labs]) if m else tuple(labs)
+                new[key] = new.get(key, 0) + cnt
+        frontier = [frontier[p] for p in kept] + ([v] if stays else [])
+        states = new
+    return sum(states.values())
 
-    rec(1)
-    return count
+
+def _unit_count(k: int, unit, cache: dict) -> int:
+    """Labelings of the connected graph with edge set unit on 0..k-1, up to
+    an additive constant, in which every edge is a unit step.  A tree has
+    2 per edge.  Otherwise each peeled leaf doubles the count of what is
+    left, a single cycle of length L has C(L, L/2) (0 if L is odd), and any
+    other core is counted by :func:`_count_all_unit_labelings` once per
+    distinct relabelled edge set in cache."""
+    if len(unit) == k - 1:
+        return 1 << len(unit)
+    nb: list[list[int]] = [[] for _ in range(k)]
+    for a, b in unit:
+        nb[a].append(b)
+        nb[b].append(a)
+    deg = [len(x) for x in nb]
+    leaves = [v for v in range(k) if deg[v] == 1]
+    for v in leaves:  # grows while it is walked; a connected non-tree keeps a core
+        deg[v] = 0
+        for u in nb[v]:
+            if deg[u]:
+                deg[u] -= 1
+                if deg[u] == 1:
+                    leaves.append(u)
+    core = [v for v in range(k) if deg[v]]
+    size = len(core)
+    if len(unit) - len(leaves) == size:  # every core vertex has degree 2
+        return 0 if size % 2 else math.comb(size, size // 2) << len(leaves)
+    index = {v: i for i, v in enumerate(core)}
+    key = tuple(sorted([(index[a], index[b]) for a, b in unit if deg[a] and deg[b]]))
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = _count_all_unit_labelings(size, key)
+    return hit << len(leaves)
 
 
 def _block_count_via_subgraphs(k: int, edges: list[tuple[int, int]]) -> int:
     """Facet count of a biconnected block on 0..k-1 with at least two edges.
     Each leaf of the two-colour walk is the one colouring of a maximal
     connected spanning bipartite subgraph; contracting its monochromatic
-    edges leaves a graph whose all-unit-step labelings it adds.  Monochromatic
-    paths join only vertices of one colour, so no bichromatic edge of the
-    subgraph becomes a self-loop."""
+    edges leaves a connected graph whose all-unit-step labelings
+    :func:`_unit_count` adds, with a cache that lives for this call only.
+    Monochromatic paths join only vertices of one colour, so no bichromatic
+    edge of the subgraph becomes a self-loop."""
     total = 0
+    cache: dict[tuple[tuple[int, int], ...], int] = {}
 
     def contract(colour: list[int]) -> None:
         nonlocal total
@@ -516,7 +587,7 @@ def _block_count_via_subgraphs(k: int, edges: list[tuple[int, int]]) -> int:
             if colour[u] != colour[v]:
                 a, b = part[u], part[v]
                 unit.add((a, b) if a < b else (b, a))
-        total += _block_product(Graph(len(ids), tuple(unit)), _count_all_unit_labelings)
+        total += _unit_count(len(ids), unit, cache)
 
     _walk_facet_labelings(Graph(k, tuple(edges)), contract, two_colour=True)
     return total
@@ -524,8 +595,17 @@ def _block_count_via_subgraphs(k: int, edges: list[tuple[int, int]]) -> int:
 
 def facet_count_via_subgraphs(g: Graph) -> int:
     """Facet count as a product over the biconnected blocks of g: 2 per
-    bridge and :func:`_block_count_via_subgraphs` per other block.  Always
-    equals facet_count(g)."""
+    bridge (it steps up or down) and :func:`_block_count_via_subgraphs` per
+    other block, relabelled to 0..k-1.  Labelings of the blocks glue
+    uniquely, up to a shift, at the cut vertices.  The block split raises
+    if g is disconnected.  Always equals facet_count(g)."""
     if g.m < max(g.n - 1, 1):  # fewer edges cannot connect; before any allocation
         raise ValueError("facet counting needs a connected graph with >= 1 edge")
-    return _block_product(g, _block_count_via_subgraphs)
+    total = 1
+    for block in biconnected_blocks(g):
+        if len(block) == 1:
+            total *= 2
+        else:
+            index = {v: i for i, v in enumerate(sorted({v for e in block for v in e}))}
+            total *= _block_count_via_subgraphs(len(index), [(index[u], index[v]) for u, v in block])
+    return total

@@ -112,7 +112,9 @@ _PASCAL: list[list[int]] = [[1]]
 def _binom_slice(m: int, start: int, width: int):
     """binom(m, start + i) for i = 0..width-1, with start + width - 1 <= m:
     a list up to PASCAL_ROWS_MAX, past it an iterator that holds one value
-    at a time."""
+    at a time.  Empty for width <= 0."""
+    if width <= 0:
+        return []
     if m <= PASCAL_ROWS_MAX:
         while len(_PASCAL) <= m:
             prev = _PASCAL[-1]

@@ -110,6 +110,35 @@ def facet_subgraphs(g: Graph) -> list[tuple[tuple[int, int], ...]]:
     return [found[k] for k in sorted(found)]
 
 
+def reference_unit_count(n: int, edges) -> int:
+    """Labelings of a connected graph on 0..n-1, up to an additive
+    constant, in which every edge is a unit step: every +-1 labeling of a
+    breadth-first spanning tree from vertex 0, kept if every edge is a
+    unit step."""
+    adj = {v: [] for v in range(n)}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = {0: None}
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    if len(parent) != n:
+        raise ValueError("graph must be connected")
+    order = list(parent)  # insertion order is breadth-first: parents come first
+    count = 0
+    for steps in itertools.product((-1, 1), repeat=n - 1):
+        f = {0: 0}
+        for v, s in zip(order[1:], steps):
+            f[v] = f[parent[v]] + s
+        count += all(abs(f[u] - f[v]) == 1 for u, v in edges)
+    return count
+
+
 def random_connected_graph(rng: Random, max_n: int = 6) -> Graph:
     """A uniform-ish random connected graph with 2..max_n vertices."""
     while True:

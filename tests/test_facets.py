@@ -12,11 +12,14 @@ from helpers import (
     reference_facet_labelings,
     reference_facet_subgraphs,
     reference_frontier_order,
+    reference_unit_count,
     relabel,
 )
 from sepfacets.enumeration import connected_graphs
 from sepfacets.facets import (
+    _count_all_unit_labelings,
     _frontier_order,
+    _unit_count,
     facet_count,
     facet_count_via_subgraphs,
     facet_functions,
@@ -474,6 +477,15 @@ def test_second_path_checks_chain_states_at_21_vertices():
         assert closed is None or closed == r.count, r.graph
 
 
+def test_second_path_checks_a_chain_state_at_31_vertices():
+    # record 2 of the seeded (31, 45) chain: one block of 27 vertices and
+    # 41 edges with about 1.2 * 10^5 facet subgraphs; records 3 and 4 take
+    # about three times as long each and are left out
+    cfg = ChainConfig.for_samples(31, 45, 2, seed=7, burn_in=0, initial=windmill(31, 15))
+    g = list(run_chain(cfg))[1].graph
+    assert facet_count(g) == facet_count_via_subgraphs(g) == 6631759872
+
+
 @pytest.mark.parametrize("n, r", [(21, 10), (31, 15), (61, 30)])
 def test_second_path_counts_windmills_block_by_block(n, r):
     # a walk over the whole graph would reach 3^r colourings; one walk per
@@ -502,3 +514,158 @@ def test_second_path_walks_each_block_once(monkeypatch):
     assert facet_count_via_subgraphs(g) == want
     assert sorted(leaves) == [5] * 5 + [7] * 7  # 5 + 7 leaves, not 5 * 7
     assert facet_count(g) == closed_form_count(g) == want
+
+
+UNIT_STEP_GRAPHS = {
+    "path(1)": path(1),
+    "path(6)": path(6),
+    "star(6)": windmill(7, 0),
+    "caterpillar": Graph(7, ((0, 1), (1, 2), (2, 3), (1, 4), (2, 5), (2, 6))),
+    "cycle(4)": cycle(4),
+    "cycle(8)": cycle(8),
+    "cycle(3)": cycle(3),
+    "cycle(7)": cycle(7),
+    "C4 v C6": wedge(cycle(4), cycle(6), 0, 0),
+    "C4 v C5": wedge(cycle(4), cycle(5), 0, 0),
+    "theta(3, 3)": theta(3, 3),
+    "paths(4, 2, 2)": parallel_paths([4, 2, 2]),
+    "K_{2,3}": theta(2, 3),
+    "K4": Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
+    "C6 + pendant": Graph(7, tuple(cycle(6).edges) + ((2, 6),)),
+    "K_{2,3} + tail": Graph(7, tuple(theta(2, 3).edges) + ((4, 5), (5, 6))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_STEP_GRAPHS))
+def test_unit_step_kernel_matches_reference_scan(name):
+    g = UNIT_STEP_GRAPHS[name]
+    want = reference_unit_count(g.n, g.edges)
+    assert _count_all_unit_labelings(g.n, g.edges) == want
+    cache = {}
+    assert _unit_count(g.n, set(g.edges), cache) == want
+    assert _unit_count(g.n, set(g.edges), cache) == want  # from the cache, if it used one
+
+
+def test_unit_step_kernel_closed_values():
+    assert reference_unit_count(8, cycle(8).edges) == math.comb(8, 4)
+    for name in ("cycle(3)", "cycle(7)", "C4 v C5", "K4"):  # an odd cycle admits no unit-step labeling
+        assert reference_unit_count(UNIT_STEP_GRAPHS[name].n, UNIT_STEP_GRAPHS[name].edges) == 0
+    assert reference_unit_count(7, UNIT_STEP_GRAPHS["caterpillar"].edges) == 2**6
+    # a bipartite graph has no flat edge, so every facet is a unit-step labeling
+    assert reference_unit_count(5, theta(2, 3).edges) == theta_count(2, 3) == 10
+
+
+def test_unit_step_kernel_matches_reference_scan_on_random_graphs():
+    # a random tree plus up to four edges, for half the graphs only edges
+    # that keep it bipartite: dense random graphs almost all hold an odd
+    # cycle and count 0
+    rng = Random(18)
+    nonzero = 0
+    for _ in range(100):
+        n = rng.randint(2, 8)
+        side = [0] * n
+        edges = set()
+        for v in range(1, n):
+            u = rng.randrange(v)
+            side[v] = 1 - side[u]
+            edges.add((u, v))
+        bipartite = rng.random() < 0.5
+        pairs = [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if (u, v) not in edges and (side[u] != side[v] or not bipartite)
+        ]
+        edges |= set(rng.sample(pairs, min(len(pairs), rng.randint(0, 4))))
+        want = reference_unit_count(n, edges)
+        assert _count_all_unit_labelings(n, sorted(edges)) == want, (n, edges)
+        assert _unit_count(n, edges, {}) == want, (n, edges)
+        nonzero += want > 0
+    assert nonzero >= 50
+
+
+def test_unit_step_kernel_matches_reference_scan_on_every_class_up_to_seven_vertices():
+    # each class as enumerated and reversed, so the DP meets other orders
+    classes = [g for n in range(2, 8) for e in range(n - 1, n * (n - 1) // 2 + 1) for g in connected_graphs(n, e)]
+    for g in classes:
+        for h in (g, relabel(g, list(range(g.n))[::-1])):
+            want = reference_unit_count(h.n, h.edges)
+            assert _count_all_unit_labelings(h.n, h.edges) == want, h
+            assert _unit_count(h.n, set(h.edges), {}) == want, h
+
+
+def test_unit_count_branches_fire_and_the_cache_stays_local(monkeypatch):
+    from types import SimpleNamespace
+
+    from sepfacets import facets
+
+    real_count, real_dp = facets._unit_count, facets._count_all_unit_labelings
+    fired = Counter()
+
+    def dp(k, edges):
+        fired["miss"] += 1
+        return real_dp(k, edges)
+
+    def comb(a, b):
+        fired["comb"] += 1
+        return math.comb(a, b)
+
+    def unit_count(k, unit, cache):
+        before, misses, combs = len(cache), fired["miss"], fired["comb"]
+        got = real_count(k, unit, cache)
+        missed, closed = fired["miss"] - misses, fired["comb"] - combs
+        degree = Counter(v for e in unit for v in e)
+        if len(unit) == k - 1:
+            branch = "tree"
+        elif closed:
+            branch = "cycle"
+        else:
+            branch = "miss" if missed else "hit"
+        if len(unit) >= k and 1 in degree.values():
+            fired["peel"] += 1
+        fired[branch + " calls"] += 1
+        assert len(cache) == before + (branch == "miss"), branch
+        assert missed == (branch == "miss") and closed == (branch == "cycle"), branch
+        return got
+
+    monkeypatch.setattr(facets, "_count_all_unit_labelings", dp)
+    monkeypatch.setattr(facets, "_unit_count", unit_count)
+    monkeypatch.setattr(facets, "math", SimpleNamespace(comb=comb))
+    sparse = [g for n in range(3, 10) for e in (n - 1, n, n + 1) for g in connected_graphs(n, e, guard=None)]
+    for g in sparse:
+        facet_count_via_subgraphs(g)
+    cfg = ChainConfig.for_samples(21, 30, 2, seed=7, burn_in=0, initial=windmill(21, 10))
+    record = list(run_chain(cfg))[1].graph
+    dicts = {name: len(v) for name, v in vars(facets).items() if isinstance(v, dict)}
+    misses = fired["miss"]
+    assert facet_count_via_subgraphs(record) == 3096096
+    first = fired["miss"] - misses
+    assert first > 0
+    assert facet_count_via_subgraphs(record) == 3096096
+    assert fired["miss"] - misses == 2 * first  # the second call starts from an empty cache
+    assert {name: len(v) for name, v in vars(facets).items() if isinstance(v, dict)} == dicts
+    for branch in ("tree calls", "peel", "cycle calls", "hit calls", "miss calls"):
+        assert fired[branch] > 0, (branch, fired)
+
+
+# facet_count_via_subgraphs on 50 seeded sparse classes (Random(18).sample
+# of the 1601), as facet_count gives them
+SAMPLED_SPARSE_COUNTS = [
+    288, 96, 576, 384, 384, 288, 192, 144, 576, 288, 288, 432, 480, 576, 256, 72, 256,
+    288, 192, 384, 144, 120, 432, 192, 192, 80, 240, 192, 384, 192, 128, 288, 192, 240,
+    576, 144, 288, 384, 256, 30, 480, 432, 80, 480, 384, 432, 384, 384, 432, 400,
+]
+
+
+def test_second_path_calls_nothing_from_the_first(monkeypatch):
+    from sepfacets import facets
+
+    sparse = [g for n in range(3, 10) for e in (n - 1, n, n + 1) for g in connected_graphs(n, e, guard=None)]
+    cfg = ChainConfig.for_samples(21, 30, 4, seed=7, burn_in=0, initial=windmill(21, 10))
+    graphs = Random(18).sample(sparse, 50) + [r.graph for r in list(run_chain(cfg))[1:]] + [windmill(31, 15)]
+
+    def forbidden(*args):
+        raise AssertionError("the second path reached the first path's code")
+
+    for name in ("facet_count", "_fold", "_weights", "_frontier_order", "_binom_slice", "cycle_count"):
+        monkeypatch.setattr(facets, name, forbidden)
+    counts = [facet_count_via_subgraphs(g) for g in graphs]
+    assert counts == SAMPLED_SPARSE_COUNTS + [3096096, 2916096, 3720384, 6**15]

@@ -255,6 +255,14 @@ def test_pascal_table_stays_bounded():
     assert len(formulas._PASCAL) == cap + 1
 
 
+@pytest.mark.parametrize("m", [10, 700])  # inside and past the Pascal table
+@pytest.mark.parametrize("width", [0, 1, 5])
+def test_binom_slice_widths(m, width):
+    assert 10 <= formulas.PASCAL_ROWS_MAX < 700
+    got = list(formulas._binom_slice(m, 3, width))
+    assert got == [math.comb(m, 3 + i) for i in range(width)]
+
+
 def test_theta_count_values():
     assert theta_count(2, 3) == 10
     assert theta_count(5, 1) == 32
