@@ -30,13 +30,14 @@ path is the independent check):
   blocks of the graph, since facet labelings of the blocks glue uniquely
   up to a shift at the cut vertices.  In each block it lists the maximal
   connected spanning bipartite subgraphs (every E_f is one of these) by
-  the same pruned walk over 2-colourings, contracts the remaining edges
-  into part pairs, and counts the labelings in which *every* edge of the
+  its own pruned walk over 2-colourings, which carries the colour classes
+  and the bichromatic components as bitmasks.  It contracts the remaining
+  edges by masks and counts the labelings in which *every* edge of the
   contraction is a unit step: 2 per edge of a tree, 2 per peeled leaf,
   C(L, L/2) for a cycle of even length L, and otherwise a frontier DP
-  over unit steps whose results are cached per block, keyed by the
-  relabelled edge set.  Its work follows the number of subgraphs per
-  block, not the number of facets.
+  over unit steps whose results are cached per block, keyed by the size
+  and packed edge set of the relabelled core.  Its work follows the
+  number of subgraphs per block, not the number of facets.
 
 All arithmetic is exact integer arithmetic; nothing here touches floats.
 """
@@ -51,24 +52,10 @@ from .formulas import _binom_slice, cycle_count
 from .graph import Graph, adjacency, bfs_order, biconnected_blocks
 
 
-def _bfs_order(adj: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """:func:`~sepfacets.graph.bfs_order` over the neighbor lists adj plus,
-    per position, the neighbors already placed.  Raises if the graph is
-    disconnected."""
-    order = bfs_order(adj)
-    if len(order) != len(adj):
-        raise ValueError("graph must be connected")
-    pos = {v: i for i, v in enumerate(order)}
-    prev = [[u for u in adj[v] if pos[u] < pos[v]] for v in order]
-    return order, prev
-
-
-def _walk_facet_labelings(g: Graph, on_leaf, two_colour: bool = False) -> None:
-    """Drive the DFS over candidate labelings, calling on_leaf(f) for each
-    labeling whose unit-difference edge set spans and connects g.  With
-    two_colour every vertex after the root tries labels 0 and 1 instead,
-    so a unit difference means the colours differ and the leaves are the
-    2-colourings whose bichromatic edges span and connect g.
+def _walk_facet_labelings(g: Graph, on_leaf) -> None:
+    """Drive the DFS over candidate labelings along a breadth-first vertex
+    order, calling on_leaf(f) for each labeling whose unit-difference edge
+    set spans and connects g.
 
     The union-find over unit-difference edges is maintained incrementally
     with a rollback trail.  A component all of whose members have no
@@ -80,7 +67,11 @@ def _walk_facet_labelings(g: Graph, on_leaf, two_colour: bool = False) -> None:
     if n < 1 or not g.edges:
         raise ValueError("facet counting needs a connected graph with >= 1 edge")
     adj = adjacency(g)
-    order, prev = _bfs_order(adj)
+    order = bfs_order(adj)
+    if len(order) != n:
+        raise ValueError("graph must be connected")
+    pos = {v: i for i, v in enumerate(order)}
+    prev = [[u for u in adj[v] if pos[u] < pos[v]] for v in order]
 
     f = [0] * n
     assigned = [False] * n
@@ -144,16 +135,13 @@ def _walk_facet_labelings(g: Graph, on_leaf, two_colour: bool = False) -> None:
     def rec(idx: int) -> None:
         v = order[idx]
         ps = prev[idx]
-        if two_colour:
-            lo, hi = 0, 1
-        else:
-            lo, hi = f[ps[0]] - 1, f[ps[0]] + 1
-            for u in ps[1:]:
-                fu = f[u]
-                if fu - 1 > lo:
-                    lo = fu - 1
-                if fu + 1 < hi:
-                    hi = fu + 1
+        lo, hi = f[ps[0]] - 1, f[ps[0]] + 1
+        for u in ps[1:]:
+            fu = f[u]
+            if fu - 1 > lo:
+                lo = fu - 1
+            if fu + 1 < hi:
+                hi = fu + 1
         last = idx + 1 == n
         for label in range(lo, hi + 1):
             mark = len(trail)
@@ -529,7 +517,8 @@ def _unit_count(k: int, unit, cache: dict) -> int:
     2 per edge.  Otherwise each peeled leaf doubles the count of what is
     left, a single cycle of length L has C(L, L/2) (0 if L is odd), and any
     other core is counted by :func:`_count_all_unit_labelings` once per
-    distinct relabelled edge set in cache."""
+    distinct relabelled edge set, keyed in cache by its size and its edges
+    packed into one int (bit a * size + b for an edge a < b)."""
     if len(unit) == k - 1:
         return 1 << len(unit)
     nb: list[list[int]] = [[] for _ in range(k)]
@@ -550,46 +539,112 @@ def _unit_count(k: int, unit, cache: dict) -> int:
     if len(unit) - len(leaves) == size:  # every core vertex has degree 2
         return 0 if size % 2 else math.comb(size, size // 2) << len(leaves)
     index = {v: i for i, v in enumerate(core)}
-    key = tuple(sorted([(index[a], index[b]) for a, b in unit if deg[a] and deg[b]]))
+    edges = [(index[a], index[b]) for a, b in unit if deg[a] and deg[b]]
+    key = (size, sum([1 << (a * size + b) for a, b in edges]))
     hit = cache.get(key)
     if hit is None:
-        hit = cache[key] = _count_all_unit_labelings(size, key)
+        hit = cache[key] = _count_all_unit_labelings(size, edges)
     return hit << len(leaves)
+
+
+def _walk_two_colourings(nb: list[int], on_leaf) -> None:
+    """Call on_leaf(ones) for each 2-colouring of the connected graph with
+    neighbor masks nb and at least two vertices, vertex 0 coloured 0, whose
+    bichromatic edges span and connect it; ones is the mask of the colour-1
+    vertices.  Those edges form a maximal connected spanning bipartite
+    subgraph, which fixes the colouring, so each such subgraph is listed
+    exactly once.
+
+    The vertices are coloured along a breadth-first order, and a partial
+    colouring carries its bichromatic components as masks: placing v joins
+    it to every component that holds a placed neighbor of the other colour.
+    A component that misses the open mask of a position (the placed
+    vertices with a neighbor still to come) can never grow, so the branch
+    is dead unless that position is the last.  The open masks do not
+    depend on the colours, so nothing is undone on the way back."""
+    k = len(nb)
+    order, seen = [0], 1  # bfs_order over masks: building its lists costs k^2 per block
+    for v in order:  # order grows while it is walked: it is the queue
+        new = nb[v] & ~seen
+        seen |= new
+        while new:
+            low = new & -new
+            order.append(low.bit_length() - 1)
+            new ^= low
+    if len(order) != k:
+        raise ValueError("graph must be connected")
+    prev, opens, placed = [], [], 0
+    for i, v in enumerate(order):
+        prev.append(nb[v] & placed)
+        placed |= 1 << v
+        later = ((1 << k) - 1) ^ placed
+        opens.append(sum(1 << u for u in order[:i + 1] if nb[u] & later))
+    last = k - 1
+
+    def rec(i: int, ones: int, comps: list[int]) -> None:
+        bit, op = 1 << order[i], opens[i]
+        nb1 = prev[i] & ones  # placed neighbors of colour 1
+        for other, grown in ((nb1, ones), (prev[i] ^ nb1, ones | bit)):  # v coloured 0, then 1
+            merged, kept = bit, []
+            for c in comps:
+                if c & other:
+                    merged |= c
+                else:
+                    kept.append(c)
+            if i == last:
+                if not kept:
+                    on_leaf(grown)
+            elif merged & op and all([c & op for c in kept]):
+                kept.append(merged)
+                rec(i + 1, grown, kept)
+
+    rec(1, 0, [1])
+
+
+def _contract(nb: list[int], ones: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Contract the monochromatic edges of the 2-colouring with colour-1
+    mask ones, over the neighbor masks nb.  Returns the parts, the
+    components of each colour class as masks (colour 0 first), and the
+    unit edges as pairs (a, b) of part indices with a < b: two parts are
+    joined when the neighbor mask of one meets the other.  Monochromatic
+    paths join only vertices of one colour, so no bichromatic edge becomes
+    a self-loop."""
+    parts, reach = [], []
+    for cls in (((1 << len(nb)) - 1) ^ ones, ones):
+        first = len(parts)
+        while cls:
+            part, near, todo = 0, 0, cls & -cls
+            while todo:
+                low = todo & -todo
+                part |= low
+                near |= nb[low.bit_length() - 1]
+                todo = (todo | near & cls) & ~part
+            cls ^= part
+            parts.append(part)
+            reach.append(near)
+    unit = [(a, b) for a in range(first) for b in range(first, len(parts)) if reach[a] & parts[b]]
+    return parts, unit
 
 
 def _block_count_via_subgraphs(k: int, edges: list[tuple[int, int]]) -> int:
     """Facet count of a biconnected block on 0..k-1 with at least two edges.
-    Each leaf of the two-colour walk is the one colouring of a maximal
-    connected spanning bipartite subgraph; contracting its monochromatic
-    edges leaves a connected graph whose all-unit-step labelings
-    :func:`_unit_count` adds, with a cache that lives for this call only.
-    Monochromatic paths join only vertices of one colour, so no bichromatic
-    edge of the subgraph becomes a self-loop."""
+    Each leaf of :func:`_walk_two_colourings` is the one colouring of a
+    maximal connected spanning bipartite subgraph; :func:`_contract` turns
+    it into a connected graph whose all-unit-step labelings
+    :func:`_unit_count` adds, with a cache that lives for this call only."""
+    nb = [0] * k
+    for u, v in edges:
+        nb[u] |= 1 << v
+        nb[v] |= 1 << u
     total = 0
-    cache: dict[tuple[tuple[int, int], ...], int] = {}
+    cache: dict[tuple[int, int], int] = {}
 
-    def contract(colour: list[int]) -> None:
+    def leaf(ones: int) -> None:
         nonlocal total
-        parent = list(range(k))
+        parts, unit = _contract(nb, ones)
+        total += _unit_count(len(parts), unit, cache)
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        for u, v in edges:
-            if colour[u] == colour[v]:
-                parent[find(u)] = find(v)
-        ids: dict[int, int] = {}
-        part = [ids.setdefault(find(v), len(ids)) for v in range(k)]
-        unit = set()
-        for u, v in edges:
-            if colour[u] != colour[v]:
-                a, b = part[u], part[v]
-                unit.add((a, b) if a < b else (b, a))
-        total += _unit_count(len(ids), unit, cache)
-
-    _walk_facet_labelings(Graph(k, tuple(edges)), contract, two_colour=True)
+    _walk_two_colourings(nb, leaf)
     return total
 
 

@@ -17,7 +17,7 @@ from random import Random
 from typing import Iterator
 
 from sepfacets.enumeration import CanonicalForm, _refine_colors
-from sepfacets.facets import _walk_facet_labelings
+from sepfacets.facets import _walk_two_colourings
 from sepfacets.formulas import _paths
 from sepfacets.graph import Graph, adjacency, is_connected
 from sepfacets.sampler import ChainConfig, default_initial
@@ -90,6 +90,15 @@ def reference_facet_subgraphs(g: Graph) -> set[tuple[tuple[int, int], ...]]:
     return {tuple(sorted(c)) for c in maximal}
 
 
+def neighbor_masks(n: int, edges) -> list[int]:
+    """Per vertex, the bitmask of its neighbors."""
+    nb = [0] * n
+    for u, v in edges:
+        nb[u] |= 1 << v
+        nb[v] |= 1 << u
+    return nb
+
+
 def facet_subgraphs(g: Graph) -> list[tuple[tuple[int, int], ...]]:
     """Maximal connected spanning bipartite subgraphs of g, each exactly once.
 
@@ -102,12 +111,35 @@ def facet_subgraphs(g: Graph) -> list[tuple[tuple[int, int], ...]]:
         return [()]
     found: dict[int, tuple[tuple[int, int], ...]] = {}
 
-    def keep(colour: list[int]) -> None:
-        bits = [colour[u] != colour[v] for u, v in g.edges]
+    def keep(ones: int) -> None:
+        bits = [(ones >> u ^ ones >> v) & 1 for u, v in g.edges]
         found[sum(1 << i for i, b in enumerate(bits) if b)] = tuple(itertools.compress(g.edges, bits))
 
-    _walk_facet_labelings(g, keep, two_colour=True)
+    _walk_two_colourings(neighbor_masks(g.n, g.edges), keep)
     return [found[k] for k in sorted(found)]
+
+
+def reference_contraction(n: int, edges, ones: int) -> tuple[set[frozenset[int]], set[frozenset[frozenset[int]]]]:
+    """Contract the monochromatic edges of the 2-colouring with colour-1
+    mask ones by a plain union-find.  Returns the parts as vertex sets and
+    the unit edges as unordered pairs of parts."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    colour = [ones >> v & 1 for v in range(n)]
+    for u, v in edges:
+        if colour[u] == colour[v]:
+            parent[find(u)] = find(v)
+    members: dict[int, set[int]] = {}
+    for v in range(n):
+        members.setdefault(find(v), set()).add(v)
+    part = {v: frozenset(members[find(v)]) for v in range(n)}
+    unit = {frozenset((part[u], part[v])) for u, v in edges if colour[u] != colour[v]}
+    return set(part.values()), unit
 
 
 def reference_unit_count(n: int, edges) -> int:

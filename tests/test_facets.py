@@ -7,7 +7,9 @@ import pytest
 from helpers import (
     facet_subgraphs,
     is_bipartite,
+    neighbor_masks,
     random_connected_graph,
+    reference_contraction,
     reference_facet_count,
     reference_facet_labelings,
     reference_facet_subgraphs,
@@ -17,6 +19,8 @@ from helpers import (
 )
 from sepfacets.enumeration import connected_graphs
 from sepfacets.facets import (
+    _block_count_via_subgraphs,
+    _contract,
     _count_all_unit_labelings,
     _frontier_order,
     _unit_count,
@@ -477,13 +481,13 @@ def test_second_path_checks_chain_states_at_21_vertices():
         assert closed is None or closed == r.count, r.graph
 
 
-def test_second_path_checks_a_chain_state_at_31_vertices():
-    # record 2 of the seeded (31, 45) chain: one block of 27 vertices and
-    # 41 edges with about 1.2 * 10^5 facet subgraphs; records 3 and 4 take
-    # about three times as long each and are left out
-    cfg = ChainConfig.for_samples(31, 45, 2, seed=7, burn_in=0, initial=windmill(31, 15))
-    g = list(run_chain(cfg))[1].graph
-    assert facet_count(g) == facet_count_via_subgraphs(g) == 6631759872
+def test_second_path_checks_chain_states_at_31_vertices():
+    # records 2-4 of the seeded (31, 45) chain: one block of 27-29 vertices
+    # each, with 1.2 * 10^5 to 3.1 * 10^5 facet subgraphs
+    cfg = ChainConfig.for_samples(31, 45, 4, seed=7, burn_in=0, initial=windmill(31, 15))
+    graphs = [r.graph for r in list(run_chain(cfg))[1:]]
+    for g, want in zip(graphs, [6631759872, 8990548992, 5359842960], strict=True):
+        assert facet_count(g) == facet_count_via_subgraphs(g) == want, g
 
 
 @pytest.mark.parametrize("n, r", [(21, 10), (31, 15), (61, 30)])
@@ -496,17 +500,17 @@ def test_second_path_counts_windmills_block_by_block(n, r):
 def test_second_path_walks_each_block_once(monkeypatch):
     from sepfacets import facets
 
-    walk = facets._walk_facet_labelings
+    walk = facets._walk_two_colourings
     leaves = []
 
-    def counting_walk(g, on_leaf, two_colour=False):
-        def leaf(f):
-            leaves.append(g.n)
-            on_leaf(f)
+    def counting_walk(nb, on_leaf):
+        def leaf(ones):
+            leaves.append(len(nb))
+            on_leaf(ones)
 
-        walk(g, leaf, two_colour)
+        walk(nb, leaf)
 
-    monkeypatch.setattr(facets, "_walk_facet_labelings", counting_walk)
+    monkeypatch.setattr(facets, "_walk_two_colourings", counting_walk)
     # C5 on 0..4 and C7 on 5..11, joined by the bridge (0, 5)
     edges = [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 7) for i in range(7)]
     g = Graph(12, tuple(edges) + ((0, 5),))
@@ -514,6 +518,26 @@ def test_second_path_walks_each_block_once(monkeypatch):
     assert facet_count_via_subgraphs(g) == want
     assert sorted(leaves) == [5] * 5 + [7] * 7  # 5 + 7 leaves, not 5 * 7
     assert facet_count(g) == closed_form_count(g) == want
+
+
+def test_mask_contraction_matches_union_find_reference():
+    # every colouring with vertex 0 coloured 0, walk leaf or not: the parts
+    # and unit edges must match the union-find's up to relabelling
+    rng = Random(19)
+    graphs = [random_connected_graph(rng, max_n=8) for _ in range(40)]
+    graphs += [g for n in range(2, 8) for e in range(n - 1, n * (n - 1) // 2 + 1) for g in connected_graphs(n, e)]
+    assert len(graphs) == 40 + 995
+    for g in graphs:
+        nb = neighbor_masks(g.n, g.edges)
+        for ones in range(0, 1 << g.n, 2):
+            parts, unit = _contract(nb, ones)
+            sets = [frozenset(v for v in range(g.n) if part >> v & 1) for part in parts]
+            want_parts, want_unit = reference_contraction(g.n, g.edges, ones)
+            assert len(parts) == len(want_parts) and set(sets) == want_parts, (g, ones)
+            assert all(a < b for a, b in unit) and len(set(unit)) == len(unit) == len(want_unit), (g, ones)
+            assert {frozenset((sets[a], sets[b])) for a, b in unit} == want_unit, (g, ones)
+    with pytest.raises(ValueError, match="^graph must be connected$"):
+        _block_count_via_subgraphs(6, list(TWO_TRIANGLES.edges))
 
 
 UNIT_STEP_GRAPHS = {
@@ -624,6 +648,7 @@ def test_unit_count_branches_fire_and_the_cache_stays_local(monkeypatch):
         fired[branch + " calls"] += 1
         assert len(cache) == before + (branch == "miss"), branch
         assert missed == (branch == "miss") and closed == (branch == "cycle"), branch
+        assert all(type(key) is tuple and len(key) == 2 and all(type(x) is int for x in key) for key in cache)
         return got
 
     monkeypatch.setattr(facets, "_count_all_unit_labelings", dp)
@@ -665,7 +690,8 @@ def test_second_path_calls_nothing_from_the_first(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the second path reached the first path's code")
 
-    for name in ("facet_count", "_fold", "_weights", "_frontier_order", "_binom_slice", "cycle_count"):
+    for name in ("facet_count", "_fold", "_weights", "_frontier_order", "_binom_slice", "cycle_count",
+                 "_walk_facet_labelings"):
         monkeypatch.setattr(facets, name, forbidden)
     counts = [facet_count_via_subgraphs(g) for g in graphs]
     assert counts == SAMPLED_SPARSE_COUNTS + [3096096, 2916096, 3720384, 6**15]
