@@ -140,22 +140,22 @@ def _triple_survivors(total: int, same_parity: bool, seed):
     otherwise each triple whose ceiling is below floor does.  The kept x2
     of both runs and the seed's merge back into ascending order."""
     _refuse_table(f"the triple sweep at sum {total}", total * total // 2)
-    c = _central_binomials(total)
+    c, runs = _central_binomials(total), 1 if same_parity else 2
 
     def survivors(floor: int):
-        kept, count = [], 0
+        kept, count, floors = [], 0, repeat(floor)
         for z in range(1, total // 3 + 1):
             if same_parity and (total - z) % 2:
                 continue  # x1 + x2 is odd, so they differ in parity
-            hi, bs = (total - z) // 2, {seed[1]} if z == seed[2] else set()
-            for b in [z] if same_parity else [z, z + 1]:
+            hi, bs = (total - z) // 2, [seed[1]] if z == seed[2] else []
+            for b in range(z, min(z + runs, hi + 1)):
                 k = (hi - b) // 2 + 1
-                if k > 0:
-                    count += k
-                    cap, ceilings = path_run_ceilings(c, total - z - b, b, z, k)
-                    if cap >= floor:
-                        bs.update(compress(range(b, hi + 1, 2), map(le, repeat(floor), ceilings())))
-            kept += [(total - z - b, b, z) for b in sorted(bs)]
+                count += k
+                cap, ceilings = path_run_ceilings(c, total - z - b, b, z, k)
+                if cap >= floor:
+                    bs += compress(range(b, hi + 1, 2), map(le, floors, ceilings()))
+            if bs:
+                kept += [(total - z - b, b, z) for b in sorted(set(bs))]
         return kept, count
 
     return survivors
@@ -437,16 +437,20 @@ def check_windmill(
 # exact identity ledger
 # ---------------------------------------------------------------------------
 
+# c[m] = binom(m, m//2), shared by every sweep and grown on demand up to
+# CENTRAL_MAX (about 1 MiB when full).  A longer request extends a copy, so
+# the shared table stays bounded whatever limits callers pass; callers
+# refuse a table past MAX_TABLE_BITS before asking for it.
+CENTRAL_MAX = 4096
+_CENTRAL: list[int] = [1]
+
+
 def _central_binomials(limit: int) -> list[int]:
-    """c[m] = binom(m, m//2) for 0 <= m <= limit, built incrementally."""
-    c = [1] * (limit + 1)
-    for m in range(1, limit + 1):
-        if m % 2 == 0:
-            c[m] = 2 * c[m - 1]
-        else:
-            a = (m - 1) // 2
-            c[m] = c[m - 1] * m // (a + 1)
-    return c
+    """c[m] = binom(m, m//2) for 0 <= m <= limit, a list the caller owns."""
+    c = _CENTRAL if limit <= CENTRAL_MAX else _CENTRAL[:]
+    for m in range(len(c), limit + 1):
+        c.append(2 * c[-1] if m % 2 == 0 else c[-1] * m // ((m + 1) // 2))
+    return c[:limit + 1]
 
 
 def _cycle_count(c: list[int], m: int) -> int:

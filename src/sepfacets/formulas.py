@@ -186,19 +186,38 @@ def path_run_ceilings(c: list[int], a: int, b: int, z: int, k: int):
     w % 2 == p, where K_p = z*2^(z-1) if z % 2 == p, else 2^z.
     c[m+2]/c[m] = 4 - 2/(ceil(m/2) + 1) grows with m, so c[x]*c[y] is
     log-convex along the run, and Q is monotone along it: both peak at an
-    end of the run."""
-    kp = [1 << z, 1 << z]
-    kp[z % 2] = z << (z - 1)
+    end of the run, so cap reads only the two ends.  ceilings() is built
+    only when called, and calls no Python function per triple."""
+    j, ha, hb = k - 1, (a + 1) // 2, (b + 1) // 2
     if a % 2 == b % 2 == z % 2:
-        q = lambda hx, hy: 1 << z  # Q from ceil(x/2) and ceil(y/2)
+        q = 1 << z
     elif a % 2 == b % 2:
-        q = lambda hx, hy: kp[a % 2] * hx * hy + kp[z % 2]
+        q = (max(ha * hb, (ha - j) * (hb + j)) << z) + (z << (z - 1))
     else:
-        q = lambda hx, hy: kp[a % 2] * hx + kp[b % 2] * hy
-    ha, hb, j = (a + 1) // 2, (b + 1) // 2, k - 1
-    cap = max(c[a] * c[b], c[a - 2 * j] * c[b + 2 * j]) * max(q(ha, hb), q(ha - j, hb + j))
-    central = lambda: map(mul, map(c.__getitem__, range(a, a - 2 * k, -2)), c[b:b + 2 * k:2])
-    return cap, lambda: map(mul, central(), map(q, range(ha, ha - k, -1), range(hb, hb + k)))
+        ka, kb = _run_weights(a, b, z)
+        q = max(ka * ha + kb * hb, ka * (ha - j) + kb * (hb + j))
+    return max(c[a] * c[b], c[a - 2 * j] * c[b + 2 * j]) * q, lambda: _run_ceilings(c, a, b, z, k)
+
+
+def _run_weights(a: int, b: int, z: int) -> tuple[int, int]:
+    """(K_p for the parity of a, K_p for the parity of b) of a mixed run."""
+    return (z << (z - 1), 1 << z) if a % 2 == z % 2 else (1 << z, z << (z - 1))
+
+
+def _run_ceilings(c: list[int], a: int, b: int, z: int, k: int):
+    """The ceilings of path_run_ceilings, as one pipeline of C-level maps:
+    c[x]*c[y] from two stride-2 slices of c, times Q from ranges of
+    ceil(x/2) and ceil(y/2) (each scaled by its weight)."""
+    central = map(mul, c[a - 2 * k + 2:a + 1:2][::-1], c[b:b + 2 * k:2])
+    ha, hb, one = (a + 1) // 2, (b + 1) // 2, 1 << z
+    if a % 2 == b % 2 == z % 2:
+        return map(one.__mul__, central)
+    if a % 2 == b % 2:  # Q - z*2^(z-1) = 2^z * ceil(x/2) * ceil(y/2)
+        q = map((z << (z - 1)).__add__, map(mul, range(ha, ha - k, -1), range(one * hb, one * (hb + k), one)))
+    else:
+        ka, kb = _run_weights(a, b, z)
+        q = map(add, range(ka * ha, ka * (ha - k), -ka), range(kb * hb, kb * (hb + k), kb))
+    return map(mul, central, q)
 
 
 def _paths(lengths, same) -> int:

@@ -182,6 +182,52 @@ def random_connected_graph(rng: Random, max_n: int = 6) -> Graph:
             return g
 
 
+def reference_blocks(g: Graph) -> list[tuple[tuple[int, int], ...]]:
+    """The biconnected blocks of g by an iterative Tarjan search over every
+    vertex from vertex 0, with no pendant peel; raises ValueError("graph
+    must be connected") when the search misses a vertex."""
+    if g.n <= 1:
+        return []
+    adj = adjacency(g)
+    disc, low, nxt, parent = [0] * g.n, [0] * g.n, [0] * g.n, [-1] * g.n
+    disc[0] = low[0] = 1
+    timer = 2
+    blocks: list[tuple[tuple[int, int], ...]] = []
+    edge_stack: list[tuple[int, int]] = []
+    stack = [0]
+    while stack:
+        v = stack[-1]
+        if nxt[v] < len(adj[v]):
+            w = adj[v][nxt[v]]
+            nxt[v] += 1
+            if w == parent[v]:
+                continue
+            if not disc[w]:
+                parent[w] = v
+                disc[w] = low[w] = timer
+                timer += 1
+                edge_stack.append((min(v, w), max(v, w)))
+                stack.append(w)
+            elif disc[w] < disc[v]:  # a back edge, pushed once, from below
+                edge_stack.append((min(v, w), max(v, w)))
+                low[v] = min(low[v], disc[w])
+            continue
+        stack.pop()
+        if stack:
+            u = stack[-1]
+            low[u] = min(low[u], low[v])
+            if low[v] >= disc[u]:  # u separates v's subtree
+                block = []
+                while edge_stack:
+                    block.append(edge_stack.pop())
+                    if block[-1] == (min(u, v), max(u, v)):
+                        break
+                blocks.append(tuple(sorted(block)))
+    if timer <= g.n:
+        raise ValueError("graph must be connected")
+    return blocks
+
+
 def relabel(g: Graph, perm: list[int]) -> Graph:
     """Apply the vertex relabeling v -> perm[v]."""
     return Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))

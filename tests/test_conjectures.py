@@ -245,6 +245,26 @@ def test_nn_max_table_cross_check_fires(monkeypatch, n):
         cj.check_nn_max(n)
 
 
+def test_central_table_is_shared_and_bounded():
+    # every request, in any order, reads c[m] = binom(m, m//2); the caller
+    # owns what it gets, and the shared table stops at CENTRAL_MAX
+    for limit in (300, 60, 500, 0, 61, cj.CENTRAL_MAX + 500):
+        c = cj._central_binomials(limit)
+        assert c == [math.comb(m, m // 2) for m in range(limit + 1)], limit
+        c[-1] += 1
+    assert cj._central_binomials(cj.CENTRAL_MAX) == [math.comb(m, m // 2) for m in range(cj.CENTRAL_MAX + 1)]
+    assert len(cj._CENTRAL) == cj.CENTRAL_MAX + 1
+
+
+def test_refused_tables_leave_the_central_table_alone():
+    before = len(cj._CENTRAL)
+    for sweep, arg in [(cj.check_identities, 32767), (cj.check_cb_maximizer_bound, 65534),
+                       (cj.check_mixed_cb, 10**6), (cj.check_general_f_leq_m, 10**6)]:
+        with pytest.raises(GuardExceeded, match="cap 64 MiB"):
+            sweep(arg)
+    assert len(cj._CENTRAL) == before
+
+
 def test_conjectured_cb_maximizer_cases():
     assert cj.conjectured_cb_maximizer(10) == (6, 4, 1)   # even n, odd half
     assert cj.conjectured_cb_maximizer(12) == (6, 6, 1)   # even n, even half

@@ -1,7 +1,10 @@
+from random import Random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import is_bipartite, two_coloring
+from helpers import is_bipartite, reference_blocks, two_coloring
+from sepfacets.enumeration import connected_graphs
 from sepfacets.graph import (
     Graph,
     MultigraphError,
@@ -192,6 +195,42 @@ def test_blocks_reject_disconnected_graphs():
     for g in (two_triangles, triangle_edge_isolated, Graph(4, ((0, 1), (2, 3)))):
         with pytest.raises(ValueError, match="connected"):
             biconnected_blocks(g)
+
+
+def _blocks_or_error(split, g: Graph):
+    try:
+        return sorted(split(g))
+    except ValueError as err:
+        return str(err)
+
+
+def test_blocks_match_the_reference_split():
+    # the pendant peel and the search on the core give the blocks the
+    # reference search over the whole graph gives, in some order, and the
+    # same error on every disconnected graph
+    graphs = [g for n in range(1, 8) for e in range(n - 1, n * (n - 1) // 2 + 1)
+              for g in connected_graphs(n, e, guard=None)]
+    assert len(graphs) == 996
+    rng = Random(20)
+    for _ in range(400):
+        n = rng.randint(2, 12)
+        p = rng.choice((0.15, 0.25, 0.4))
+        graphs.append(Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p)))
+    graphs += [
+        Graph(2, ()),
+        Graph(3, ((0, 1),)),  # an isolated vertex next to a tree
+        Graph(4, ((0, 1), (2, 3))),  # a forest whose every vertex peels
+        Graph(6, ((0, 1), (1, 2), (3, 4), (4, 5))),
+        Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))),
+        Graph(6, ((0, 1), (0, 2), (1, 2), (2, 3), (4, 5))),  # a pendant tree off the core, a stray edge
+        Graph(7, ((0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (3, 6))),
+    ]
+    disconnected = 0
+    for g in graphs:
+        want = _blocks_or_error(reference_blocks, g)
+        assert _blocks_or_error(biconnected_blocks, g) == want, g
+        disconnected += want == "graph must be connected"
+    assert disconnected > 100
 
 
 def test_parse_basic():
