@@ -18,6 +18,7 @@ integer draws only (no floats), recorded in output metadata as
 from __future__ import annotations
 
 import datetime
+import functools
 import json
 import math
 from bisect import insort
@@ -134,44 +135,63 @@ def default_initial(n: int, e: int) -> Graph:
     return Graph(n, tuple(ring) + tuple(chords[: e - n]))
 
 
+def _edge_mask(edges: list[int]) -> int:
+    """The edge set as a bitmask over the pair indices."""
+    mask = 0
+    for i in edges:
+        mask |= 1 << i
+    return mask
+
+
 class _ChainState:
-    """Edge set as a bitmask over the C(n, 2) vertex pairs, with sorted
-    index lists for uniform edge / non-edge draws and, for the
-    connectivity test, one neighbour bitmask per vertex keyed by that
-    vertex's own bit."""
+    """Edge set as sorted index lists over the C(n, 2) vertex pairs, for
+    uniform edge / non-edge draws, with each pair stored as its two vertex
+    bits and, for the connectivity test, one neighbour bitmask per vertex
+    keyed by that vertex's own bit."""
 
     def __init__(self, n: int, g: Graph):
         self.n = n
-        vs = list(range(n))  # one int object per vertex, shared by all its pairs
-        self.pairs = tuple((u, v) for u in vs for v in vs[u + 1 :])
-        have = set(g.edges)
+        bits = [1 << v for v in range(n)]  # one int object per vertex, shared by all its pairs
+        self.bit_pairs = tuple((bu, bv) for u, bu in enumerate(bits) for bv in bits[u + 1 :])
+        have = {(1 << u, 1 << v) for u, v in g.edges}
         self.edges: list[int] = []
         self.non_edges: list[int] = []
-        for i, p in enumerate(self.pairs):
+        for i, p in enumerate(self.bit_pairs):
             (self.edges if p in have else self.non_edges).append(i)
-        self.mask = sum(1 << i for i in self.edges)
-        self.bit = [1 << v for v in vs]
-        self.adj = {1 << v: sum(1 << u for u in nb) for v, nb in enumerate(adjacency(g))}
+        n_e, n_f = len(self.edges), len(self.non_edges)  # fixed, so each draw's bit length is too
+        self.draws = n_e, n_e.bit_length(), n_f, n_f.bit_length()
+        self.adj = {bits[v]: sum(1 << u for u in nb) for v, nb in enumerate(adjacency(g))}
+
+    @functools.cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The (u, v) pair of each index, built on first use."""
+        vs = list(range(self.n))
+        return tuple((u, v) for u in vs for v in vs[u + 1 :])
+
+    @property
+    def mask(self) -> int:
+        return _edge_mask(self.edges)
 
     def graph(self) -> Graph:
-        return Graph(self.n, tuple(self.pairs[i] for i in self.edges))
+        ends = map(self.bit_pairs.__getitem__, self.edges)
+        return Graph(self.n, tuple((a.bit_length() - 1, b.bit_length() - 1) for a, b in ends))
 
     def advance(self, rng: Random, steps: int) -> int:
         """Run `steps` edge-replacement proposals; return how many were accepted.
 
         Each draw spells out CPython's `rng.randrange(length)`, so the random
-        stream is the same.  The current graph is connected, so the swap keeps
-        it connected exactly when the removed edge's ends a, b still meet: at
-        a common neighbour, or when balls grown around a and b level by level
-        (the smaller frontier first) touch before either stops growing."""
+        stream is the same.  A proposal removes ab, adds cd and writes nothing
+        unless accepted.  It is accepted when a and b meet in G - ab: at a
+        common neighbour, or when balls grown level by level around them (the
+        smaller frontier first, never expanding a or b) touch.  A ball that
+        stops first is one side of the bridge ab, and then cd must cross it."""
         edges, non_edges = self.edges, self.non_edges
         if not non_edges:
             return 0  # complete graph: the chain is frozen
-        pairs, bit, adj = self.pairs, self.bit, self.adj
+        bit_pairs, adj = self.bit_pairs, self.adj
         getrandbits = rng.getrandbits
-        n_e, n_f = len(edges), len(non_edges)
-        k_e, k_f = n_e.bit_length(), n_f.bit_length()
-        flips = accepted = 0
+        n_e, k_e, n_f, k_f = self.draws
+        accepted = 0
         for _ in range(steps):
             e_at, f_at = n_e, n_f
             while e_at >= n_e:
@@ -179,13 +199,10 @@ class _ChainState:
             while f_at >= n_f:
                 f_at = getrandbits(k_f)
             e_idx, f_idx = edges[e_at], non_edges[f_at]
-            (a, b), (c, d) = pairs[e_idx], pairs[f_idx]
-            A, B, C, D = bit[a], bit[b], bit[c], bit[d]
-            adj[A], adj[B] = adj[A] ^ B, adj[B] ^ A
-            adj[C], adj[D] = adj[C] ^ D, adj[D] ^ C
-            near, far = adj[A], adj[B]
-            if not near & far:
-                seen_near, seen_far = near | A, far | B
+            (A, B), (C, D) = bit_pairs[e_idx], bit_pairs[f_idx]
+            na, nb = adj[A] ^ B, adj[B] ^ A
+            if not na & nb:
+                near, far, seen_near, seen_far = na, nb, na | A, nb | B
                 while near and far:
                     if near.bit_count() > far.bit_count():
                         near, far, seen_near, seen_far = far, near, seen_far, seen_near
@@ -198,17 +215,18 @@ class _ChainState:
                         break
                     near = nxt & ~seen_near
                     seen_near |= near
-                else:  # one ball stopped growing: a and b are cut apart
-                    adj[A], adj[B] = adj[A] ^ B, adj[B] ^ A
-                    adj[C], adj[D] = adj[C] ^ D, adj[D] ^ C
-                    continue
-            flips ^= (1 << e_idx) | (1 << f_idx)
+                else:  # ab is a bridge and the stopped ball is one side of it
+                    side = seen_far if near else seen_near
+                    if (not C & side) == (not D & side):
+                        continue
             accepted += 1
+            adj[A], adj[B] = na, nb
+            adj[C] ^= D
+            adj[D] ^= C
             edges.pop(e_at)
             insort(edges, f_idx)
             non_edges.pop(f_at)
             insort(non_edges, e_idx)
-        self.mask ^= flips
         return accepted
 
 
@@ -221,12 +239,15 @@ def _start(cfg: ChainConfig) -> tuple[_ChainState, Random]:
 def iter_states(cfg: ChainConfig) -> Iterator[tuple[int, int, tuple[tuple[int, int], ...]]]:
     """Every chain state in order: (step, edge bitmask, the pair table
     that the bitmask indexes).  Step 0 is the initial state; facet counts are not
-    computed here, so uniformity tests can consume millions of steps."""
+    computed here, so uniformity tests can consume millions of steps.  The
+    mask is read from the edge list only after an accepted move."""
     state, rng = _start(cfg)
-    yield 0, state.mask, state.pairs
+    mask, pairs = state.mask, state.pairs
+    yield 0, mask, pairs
     for step in range(1, cfg.steps + 1):
-        state.advance(rng, 1)
-        yield step, state.mask, state.pairs
+        if state.advance(rng, 1):
+            mask = _edge_mask(state.edges)
+        yield step, mask, pairs
 
 
 def run_chain(cfg: ChainConfig) -> Iterator[SampleRecord]:

@@ -228,6 +228,35 @@ def reference_blocks(g: Graph) -> list[tuple[tuple[int, int], ...]]:
     return blocks
 
 
+def bridge_side(g: Graph, a: int, b: int) -> set[int]:
+    """The vertices on a's side of the bridge ab of the connected graph g:
+    a, and each v that reconnects g - ab when joined to b, by is_connected."""
+    rest = set(g.edges) - {(min(a, b), max(a, b))}
+    return {a} | {
+        v
+        for v in range(g.n)
+        if v not in (a, b) and is_connected(Graph(g.n, tuple(rest | {(min(v, b), max(v, b))})))
+    }
+
+
+def swap_class(g: Graph, e: tuple[int, int], f: tuple[int, int]) -> str:
+    """The kind of chain proposal that removes the edge e = (a, b) from the
+    connected graph g and adds the non-edge f: e on a triangle, e on a
+    cycle but on no triangle, or e a bridge (a 1-edge block of
+    reference_blocks), pendant or not, that f crosses or not."""
+    a, b = e
+    adj = adjacency(g)
+    if set(adj[a]) & set(adj[b]):
+        return "triangle"
+    if (e,) not in reference_blocks(g):
+        return "cycle"
+    side = bridge_side(g, a, b)
+    crosses = (f[0] in side) != (f[1] in side)
+    if len(side) in (1, g.n - 1):
+        return "pendant, f on the leaf" if crosses else "pendant, f off the leaf"
+    return "bridge, f crossing" if crosses else "bridge, f not crossing"
+
+
 def relabel(g: Graph, perm: list[int]) -> Graph:
     """Apply the vertex relabeling v -> perm[v]."""
     return Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))

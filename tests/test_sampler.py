@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from helpers import mask_graph, mcmc_step, reference_chain
+from helpers import mask_graph, mcmc_step, reference_chain, swap_class
 from sepfacets.enumeration import GuardExceeded
 from sepfacets.facets import facet_count
 from sepfacets.graph import (
@@ -123,13 +123,39 @@ def test_chain_accepts_exactly_the_connected_swaps(n, r):
         assert state.graph() == (swapped if want else before)
         outcomes[want] += 1
     assert outcomes[True] and outcomes[False]
-    # a missed undo would leave the neighbour bitmasks off the edge mask
+    # the neighbour bitmasks, written only on accept, agree with the edge mask
     adj = [0] * n
     for i, (u, v) in enumerate(state.pairs):
         if state.mask >> i & 1:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
     assert state.adj == {1 << v: adj[v] for v in range(n)}
+
+
+def test_chain_decides_each_kind_of_swap_as_is_connected_does():
+    # each proposal is classified from the graph alone (bridges by the
+    # reference block split, sides by is_connected), never by the kernel
+    seen = Counter()
+    for g, seed in [(default_initial(12, 11), 9), (windmill(13, 6), 7), (default_initial(8, 20), 6)]:
+        state, rng = _ChainState(g.n, g), Random(seed)
+        for _ in range(2000):
+            before = state.graph()
+            twin = Random()
+            twin.setstate(rng.getstate())
+            e = state.pairs[state.edges[twin.randrange(len(state.edges))]]
+            f = state.pairs[state.non_edges[twin.randrange(len(state.non_edges))]]
+            kind = swap_class(before, e, f)
+            want = is_connected(Graph(g.n, tuple(set(before.edges) - {e} | {f})))
+            assert (state.advance(rng, 1) == 1) == want, (kind, before, e, f)
+            seen[kind, want] += 1
+    assert set(seen) == {
+        ("triangle", True),
+        ("cycle", True),
+        ("pendant, f on the leaf", True),
+        ("pendant, f off the leaf", False),
+        ("bridge, f crossing", True),
+        ("bridge, f not crossing", False),
+    }, seen
 
 
 REFERENCE_CHAINS = [
