@@ -12,9 +12,12 @@ factorial time, so n <= 8 is the supported regime, enforced by a guard.
 
 Classes are generated level by level: trees by leaf augmentation, then one
 extra edge at a time, one candidate per orbit of the twin swaps.  A
-candidate is built only if its new element is one a fixed, isomorphism-
-invariant deletion rule could remove last (McKay's canonical augmentation,
-J. Algorithms 26, 1998); `_level` gives the rule and why it loses no class.
+candidate is built only if no deletable edge outranks its new edge under
+the key (deg x + deg y, min(deg x, deg y)), ties broken by the same pair
+over s x and s y, the sums of x's and y's neighbors' degrees (McKay's
+canonical augmentation, J. Algorithms 26, 1998).  Every part of the key
+is an isomorphism invariant, so each class keeps the candidate whose new
+edge is its deletable edge of largest key; `_level` gives the argument.
 The survivors are still deduplicated by canonical form.
 """
 
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .graph import Graph
+from .graph import Graph, adjacency
 
 DEFAULT_GUARD = 8  # largest n enumerated or swept exhaustively by default
 
@@ -34,17 +37,26 @@ class GuardExceeded(RuntimeError):
 CanonicalForm = tuple[int, tuple[int, ...]]
 
 
-def _refine_colors(n: int, adj: list[int]) -> list[int]:
-    """Iterated color refinement; returns a canonical color id per vertex."""
-    nbrs = [[w for w in range(n) if av >> w & 1] for av in adj]
+def _refine_colors(nbrs: list[list[int]]) -> list[int]:
+    """Iterated color refinement of the graph with these neighbor lists;
+    returns a canonical color id per vertex.  Each round ranks the vertices
+    by their color, then their neighbors' colors in increasing order."""
+    n = len(nbrs)
     colors = [len(nb) for nb in nbrs]
     count = len(set(colors))
     for _ in range(n):
-        get = colors.__getitem__
-        keys = [(colors[v], tuple(sorted(map(get, nb)))) for v, nb in enumerate(nbrs)]
+        # vertices of one color have equal degrees, so keys of one color
+        # have equal lengths; appending in color order sorts each key
+        keys = [[c] for c in colors]
+        for w in sorted(range(n), key=colors.__getitem__):
+            c = colors[w]
+            for z in nbrs[w]:
+                keys[z].append(c)
+        keys = list(map(tuple, keys))
         rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-        colors = [rank[k] for k in keys]
-        if len(rank) == count:
+        colors = list(map(rank.__getitem__, keys))
+        # a discrete partition is stable: another round would rank it the same
+        if len(rank) == count or len(rank) == n:
             break
         count = len(rank)
     return colors
@@ -81,51 +93,55 @@ def canonical_form(g: Graph) -> CanonicalForm:
     n = g.n
     if n <= 1:
         return (n, ())
-    adj = _masks(g)
-    colors = _refine_colors(n, adj)
+    adj, nbrs = _masks(g), adjacency(g)
+    colors = _refine_colors(nbrs)
     tw = _twins(adj)
     # position p must hold a vertex of block_color[p]; blocks in color order
     by_color: dict[int, list[int]] = {}
-    for v in range(n):
-        by_color.setdefault(colors[v], []).append(v)
-    block_color = []
-    for c in sorted(by_color):
-        block_color += [c] * len(by_color[c])
+    for v, c in enumerate(colors):
+        by_color.setdefault(c, []).append(v)
+    block_color = sorted(colors)  # the colors are the ranks 0, 1, ...
 
     infinity = 1 << (n + 1)
     best = [infinity] * (n - 1)
-    placed = [0] * n  # placed[p] = vertex at position p
+    # placing a vertex at position q sets bit n - 1 - q of its neighbors'
+    # entries, so a vertex's row at position p is its entry >> (n - p)
+    above = [0] * n
     used = [False] * n
 
     def dfs(pos: int) -> None:
-        prev_mask_bits = placed[:pos]
+        shift, slot = n - pos, pos - 1
+        bit = 1 << (shift - 1)
         tried = 0  # twin classes placed at pos so far: a twin's subtree repeats
         for v in by_color[block_color[pos]]:
             if used[v] or tried >> tw[v] & 1:
                 continue
             tried |= 1 << tw[v]
-            row = 0
-            av = adj[v]
-            for q in range(pos):
-                row = (row << 1) | ((av >> prev_mask_bits[q]) & 1)
-            slot = pos - 1
+            row = above[v] >> shift
             if row > best[slot]:
                 continue
             if row < best[slot]:
                 best[slot] = row
                 for k in range(pos, n - 1):
                     best[k] = infinity
-            used[v] = True
-            placed[pos] = v
             if pos + 1 < n:  # at the last position best already holds the minimum
+                used[v] = True
+                for w in nbrs[v]:
+                    above[w] |= bit
                 dfs(pos + 1)
-            used[v] = False
+                for w in nbrs[v]:
+                    above[w] ^= bit
+                used[v] = False
 
     # position 0 carries no row; try one vertex per twin class of the first block
+    top = 1 << (n - 1)
     for v0 in {tw[v]: v for v in by_color[block_color[0]]}.values():
         used[v0] = True
-        placed[0] = v0
+        for w in nbrs[v0]:
+            above[w] |= top
         dfs(1)
+        for w in nbrs[v0]:
+            above[w] ^= top
         used[v0] = False
     return (n, tuple(best))
 
@@ -135,9 +151,10 @@ def canonical_graph(g: Graph) -> Graph:
     n, rows = canonical_form(g)
     edges = []
     for p, row in enumerate(rows, start=1):
-        for q in range(p):
-            if (row >> (p - 1 - q)) & 1:
-                edges.append((q, p))
+        while row:  # bit p - 1 - q of the row is the edge qp
+            low = row & -row
+            edges.append((p - low.bit_length(), p))
+            row ^= low
     return Graph(n, tuple(edges))
 
 
@@ -160,12 +177,14 @@ _LEVELS: dict[tuple[int, int], tuple[Graph, ...]] = {(1, 0): (Graph(1, ()),)}
 
 def _classes(candidates) -> tuple[Graph, ...]:
     """One canonical representative per isomorphism class among the
-    candidate graphs, in canonical-form order."""
-    seen: dict[CanonicalForm, Graph] = {}
+    candidate graphs, all on the same vertices, in canonical-form order.
+    Canonical graphs on n vertices are equal exactly when their forms are,
+    so they are told apart by their edges and encoded only to be sorted."""
+    seen: dict[tuple[tuple[int, int], ...], Graph] = {}
     for g in candidates:
         cg = canonical_graph(g)
-        seen.setdefault(_encoding(cg), cg)
-    return tuple(seen[key] for key in sorted(seen))
+        seen.setdefault(cg.edges, cg)
+    return tuple(sorted(seen.values(), key=_encoding))
 
 
 def connected_graphs(n: int, e: int, guard: int | None = DEFAULT_GUARD):
@@ -208,19 +227,42 @@ def _reaches(adj: list[int], x: int, y: int) -> bool:
     return frontier != 0
 
 
-def _deleted_last(adj: list[int], edges, u: int, v: int, tree: bool) -> bool:
+def _deleted_last(adj: list[int], deg: list[int], ranked, u: int, v: int, tree: bool) -> bool:
     """Whether no deletable edge of g + uv has a larger key than uv, for g
-    with neighbor masks adj and the given edges.  Edge xy has key (deg x +
-    deg y, min(deg x, deg y)) in g + uv; it is deletable if it is a leaf
-    edge of a tree, or if deleting it leaves a graph above a tree connected."""
-    adj = adj.copy()
-    adj[u] |= 1 << v
-    adj[v] |= 1 << u
-    deg = [a.bit_count() for a in adj]
+    with neighbor masks adj and degrees deg, and ranked holding each edge
+    xy of g as (deg x + deg y, x, y), largest sum first.  Edge xy has key
+    (deg x + deg y, min(deg x, deg y)) in g + uv; ties are broken by
+    (s x + s y, min(s x, s y)), where s w sums the degrees of w's neighbors
+    in g + uv.  It is deletable if it is a leaf edge of a tree, or if
+    deleting it leaves a graph above a tree connected."""
+    deg = deg.copy()
+    deg[u] += 1
+    deg[v] += 1
     top = (deg[u] + deg[v], min(deg[u], deg[v]))
-    for x, y in edges:
-        low = min(deg[x], deg[y])
-        if (deg[x] + deg[y], low) > top and (low == 1 if tree else _reaches(adj, x, y)):
+    s = plus = None  # the s w and the masks of g + uv, when needed
+    for total, x, y in ranked:
+        if total + 1 < top[0]:  # adding uv raises no other edge's sum by more than one
+            break
+        key = (deg[x] + deg[y], min(deg[x], deg[y]))
+        if key < top or tree and key[1] > 1:
+            continue
+        if key == top:
+            if s is None:
+                s = [0] * len(deg)
+                for _, a, b in ranked:
+                    s[a] += deg[b]
+                    s[b] += deg[a]
+                s[u] += deg[v]
+                s[v] += deg[u]
+            if (s[x] + s[y], min(s[x], s[y])) <= (s[u] + s[v], min(s[u], s[v])):
+                continue
+        if tree:
+            return False
+        if plus is None:
+            plus = adj.copy()
+            plus[u] |= 1 << v
+            plus[v] |= 1 << u
+        if _reaches(plus, x, y):
             return False
     return True
 
@@ -235,18 +277,24 @@ def _level(n: int, e: int) -> tuple[Graph, ...]:
     to a representative R below, and R plus the image of the edge is
     isomorphic to G.  A twin swap, an automorphism of R, maps that image to
     the candidate built for its orbit, so that candidate is isomorphic to G
-    with the edge mapped to its new one.  Keys and deletability are
-    invariant, so the candidate is kept.  Candidates that still coincide
-    are merged by canonical form, so the level does not depend on the rule.
+    with the edge mapped to its new one.  Keys (degrees, then neighbor
+    degree sums on a tie) and deletability are invariant under isomorphism,
+    so no deletable edge outranks the new one, and the candidate is kept.
+    Candidates that still coincide are merged by canonical form, so the
+    level does not depend on the rule.
     """
     key = (n, e)
     if key not in _LEVELS:
         tree = e == n - 1
-        _LEVELS[key] = _classes(
-            Graph(n, g.edges + (uv,))
-            for g in (_level(n - 1, n - 2) if tree else _level(n, e - 1))
-            for adj in [_masks(g) + [0] * (n - g.n)]
-            for uv in ([(v, n - 1) for v in set(_twins(adj[:-1]))] if tree else _missing_edges(g))
-            if _deleted_last(adj, g.edges, *uv, tree)
-        )
+
+        def candidates():
+            for g in _level(n - 1, n - 2) if tree else _level(n, e - 1):
+                adj = _masks(g) + [0] * (n - g.n)
+                deg = [a.bit_count() for a in adj]  # once per parent, as is ranked
+                ranked = sorted(((deg[x] + deg[y], x, y) for x, y in g.edges), reverse=True)
+                for uv in [(v, n - 1) for v in set(_twins(adj[:-1]))] if tree else _missing_edges(g):
+                    if _deleted_last(adj, deg, ranked, *uv, tree):
+                        yield Graph(n, g.edges + (uv,))
+
+        _LEVELS[key] = _classes(candidates())
     return _LEVELS[key]

@@ -421,7 +421,7 @@ def reference_canonical_form(g: Graph) -> CanonicalForm:
     for u, v in g.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    colors = _refine_colors(n, adj)
+    colors = _refine_colors(adjacency(g))
     by_color: dict[int, list[int]] = {}
     for v in range(n):
         by_color.setdefault(colors[v], []).append(v)
@@ -513,18 +513,22 @@ def swap_orbits(g: Graph, leaf: bool) -> list[set[frozenset[int]]]:
 
 def reference_last_element(h: Graph, new: tuple[int, int]) -> bool:
     """The deletion rule of canonical augmentation for the edge `new` just
-    added to h, from degrees and connectivity alone.  In a tree (the new
-    leaf is new[1]) no leaf may have a neighbor of larger degree than
-    new[0].  Otherwise no edge xy whose deletion leaves h connected may
-    have a larger key (deg x + deg y, min(deg x, deg y)) than `new`."""
+    added to h, from degrees and connectivity alone.  Edge xy has key
+    (deg x + deg y, min(deg x, deg y), s x + s y, min(s x, s y)), where
+    s w sums the degrees of w's neighbors.  In a tree (the new leaf is
+    new[1]) no leaf edge may have a larger key than `new`.  Otherwise no
+    edge whose deletion leaves h connected may have a larger key."""
     deg = [h.degree(v) for v in range(h.n)]
+    s = [0] * h.n
+    for x, y in h.edges:
+        s[x] += deg[y]
+        s[y] += deg[x]
+
+    def key(x: int, y: int) -> tuple[int, int, int, int]:
+        return deg[x] + deg[y], min(deg[x], deg[y]), s[x] + s[y], min(s[x], s[y])
+
     if h.m == h.n - 1:
-        return all(deg[b] <= deg[new[0]]
-                   for x, y in h.edges for a, b in ((x, y), (y, x)) if deg[a] == 1)
-
-    def key(x: int, y: int) -> tuple[int, int]:
-        return deg[x] + deg[y], min(deg[x], deg[y])
-
+        return not any(key(x, y) > key(*new) for x, y in h.edges if min(deg[x], deg[y]) == 1)
     return not any(key(x, y) > key(*new)
                    and is_connected(Graph(h.n, tuple(p for p in h.edges if p != (x, y))))
                    for x, y in h.edges)
