@@ -21,10 +21,10 @@ path is the independent check):
   unit-difference components; its work grows with the frontier width of
   the core, not with the number of facets.
 
-* :func:`facet_functions` lists the labelings by depth-first assignment
-  along a breadth-first vertex order rooted at vertex 0, pruning branches
-  whose unit-difference components can no longer be reconnected by the
-  unassigned vertices.
+* :func:`facet_functions` lists the labelings by its own depth-first walk
+  along a breadth-first vertex order rooted at vertex 0.  A branch carries
+  its unit-difference components as bitmasks and dies when one of them has
+  no vertex left with an unlabelled neighbor, so nothing is undone.
 
 * :func:`facet_count_via_subgraphs` multiplies over the biconnected
   blocks of the graph, since facet labelings of the blocks glue uniquely
@@ -53,110 +53,56 @@ from .graph import Graph, adjacency, bfs_order, biconnected_blocks
 
 
 def _walk_facet_labelings(g: Graph, on_leaf) -> None:
-    """Drive the DFS over candidate labelings along a breadth-first vertex
-    order, calling on_leaf(f) for each labeling whose unit-difference edge
-    set spans and connects g.
+    """Call on_leaf(f) for each labeling f of g with f(0) = 0, no step above
+    1 on any edge, and unit-difference edges that span and connect g.
 
-    The union-find over unit-difference edges is maintained incrementally
-    with a rollback trail.  A component all of whose members have no
-    unassigned neighbors can never grow, so if one exists before the last
-    vertex is placed the branch is dead.  Pruning only skips labelings the
-    final check would reject; it never changes the enumerated set.
+    The vertices are labelled along a breadth-first order, and a partial
+    labeling carries its unit-difference components as masks: placing v at
+    x joins it to every component that holds a placed neighbor at x - 1 or
+    x + 1.  A component that misses the open mask of a position (the placed
+    vertices with a neighbor still to come) can never grow, so the branch
+    is dead unless that position is the last.  f is written only at the
+    vertex being placed and read only at placed vertices, so nothing is
+    undone on the way back.  Pruning only skips labelings the final check
+    would reject; it never changes the enumerated set.
     """
     n = g.n
-    if n < 1 or not g.edges:
+    if g.m < max(n - 1, 1):  # fewer edges cannot connect; before any allocation
         raise ValueError("facet counting needs a connected graph with >= 1 edge")
     adj = adjacency(g)
     order = bfs_order(adj)
     if len(order) != n:
         raise ValueError("graph must be connected")
     pos = {v: i for i, v in enumerate(order)}
-    prev = [[u for u in adj[v] if pos[u] < pos[v]] for v in order]
-
+    prev = [[(u, 1 << u) for u in adj[v] if pos[u] < pos[v]] for v in order]
+    done = [max([pos[u] for u in adj[v]]) for v in range(n)]  # position of v's last neighbor
+    opens = [sum([1 << v for v in order[:i + 1] if done[v] > i]) for i in range(n)]
     f = [0] * n
-    assigned = [False] * n
-    undeg = [len(adj[v]) for v in range(n)]  # unassigned-neighbor counts
-    parent = list(range(n))
-    size = [1] * n
-    open_cnt = [0] * n  # per root: members that still have unassigned neighbors
-    trail: list[tuple[list, int, int]] = []
+    last = n - 1
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        trail.append((parent, rb, rb))
-        parent[rb] = ra
-        trail.append((size, ra, size[ra]))
-        size[ra] += size[rb]
-        trail.append((open_cnt, ra, open_cnt[ra]))
-        open_cnt[ra] += open_cnt[rb]
-
-    def assign(v: int, label: int, last: bool) -> bool:
-        """Place label on v; return False when the branch is already dead."""
-        f[v] = label
-        touched = []
-        for u in adj[v]:
-            trail.append((undeg, u, undeg[u]))
-            undeg[u] -= 1
-            if assigned[u] and undeg[u] == 0:
-                ru = find(u)
-                trail.append((open_cnt, ru, open_cnt[ru]))
-                open_cnt[ru] -= 1
-                touched.append(u)
-        trail.append((assigned, v, False))
-        assigned[v] = True
-        trail.append((open_cnt, v, open_cnt[v]))
-        open_cnt[v] = 1 if undeg[v] > 0 else 0
-        for u in adj[v]:
-            if assigned[u] and abs(f[u] - label) == 1:
-                union(v, u)
-        if last:
-            return True
-        if open_cnt[find(v)] == 0:
-            return False
-        for u in touched:
-            if open_cnt[find(u)] == 0:
-                return False
-        return True
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            arr, i, old = trail.pop()
-            arr[i] = old
-
-    def rec(idx: int) -> None:
-        v = order[idx]
-        ps = prev[idx]
-        lo, hi = f[ps[0]] - 1, f[ps[0]] + 1
-        for u in ps[1:]:
-            fu = f[u]
-            if fu - 1 > lo:
-                lo = fu - 1
-            if fu + 1 < hi:
-                hi = fu + 1
-        last = idx + 1 == n
-        for label in range(lo, hi + 1):
-            mark = len(trail)
-            if assign(v, label, last):
-                if last:
-                    if size[find(0)] == n:
-                        on_leaf(f)
+    def rec(i: int, comps: list[int]) -> None:
+        v, ps, op = order[i], prev[i], opens[i]
+        labels = [f[u] for u, _ in ps]
+        for x in range(max(labels) - 1, min(labels) + 2):
+            f[v] = x
+            unit = 0  # placed neighbors one label away: |f(u) - x| <= 1 by the range
+            for u, b in ps:
+                if f[u] != x:
+                    unit |= b
+            merged, kept = 1 << v, []
+            for c in comps:
+                if c & unit:
+                    merged |= c
                 else:
-                    rec(idx + 1)
-            undo(mark)
+                    kept.append(c)
+            if i == last:
+                if not kept:
+                    on_leaf(f)
+            elif merged & op and all([c & op for c in kept]):
+                kept.append(merged)
+                rec(i + 1, kept)
 
-    mark0 = len(trail)
-    if assign(order[0], 0, False):  # n >= 2 whenever there is an edge
-        rec(1)
-    undo(mark0)
+    rec(1, [1])  # bfs_order starts at vertex 0, labelled 0; n >= 2 here
 
 
 def facet_functions(g: Graph) -> list[tuple[int, ...]]:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from random import Random
@@ -108,6 +109,38 @@ def test_enumeration_matches_reference_labelings():
         assert facet_functions(g) == reference_facet_labelings(g)
 
 
+# regression pins, taken from the union-find walk that listed labelings
+# before the mask walk: a sha256 over repr(facet_functions(g)) per graph
+FACET_FUNCTION_DIGESTS = {
+    "995 classes": "1a02f5ef00ca092a9ca33f67e1db16bd2428c6af2a530885567c293898cad4b8",
+    "windmill(13, 6)": "d3690c1d31da18a027d22e9ac3ae9db1ee345386828185d5e37aa103a174c5d0",
+    "16-vertex tree": "de4b45b7ba7a50ec84e45dd2fe16152bf43b22c47d4bd68a79ced78d9ba79b7e",
+}
+
+
+def _seeded_tree(n: int, seed: int) -> Graph:
+    rng = Random(seed)
+    return Graph(n, tuple((rng.randrange(v), v) for v in range(1, n)))
+
+
+def test_facet_functions_match_pinned_digests():
+    classes = [
+        g
+        for n in range(2, 8)
+        for e in range(n - 1, n * (n - 1) // 2 + 1)
+        for g in connected_graphs(n, e)
+    ]
+    assert len(classes) == 995
+    groups = {"995 classes": classes, "windmill(13, 6)": [windmill(13, 6)], "16-vertex tree": [_seeded_tree(16, 16)]}
+    for name, graphs in groups.items():
+        h = hashlib.sha256()
+        for g in graphs:
+            h.update(repr(facet_functions(g)).encode())
+        assert h.hexdigest() == FACET_FUNCTION_DIGESTS[name], name
+    assert len(facet_functions(windmill(13, 6))) == windmill_count(13, 6) == 46656
+    assert len(facet_functions(_seeded_tree(16, 16))) == 2**15
+
+
 def test_disconnected_input_rejected():
     with pytest.raises(ValueError):
         facet_count(Graph(4, ((0, 1), (2, 3))))
@@ -169,7 +202,7 @@ def test_too_few_edges_rejected_before_allocation(monkeypatch):
     monkeypatch.setattr(facets, "adjacency", no_allocation)
     monkeypatch.setattr(facets, "biconnected_blocks", no_allocation)
     huge = Graph(10**9, ((0, 1),))
-    for count in (facet_count, facet_count_via_subgraphs):
+    for count in (facet_count, facet_count_via_subgraphs, facet_functions):
         with pytest.raises(ValueError, match="connected"):
             count(huge)
 
@@ -695,3 +728,21 @@ def test_second_path_calls_nothing_from_the_first(monkeypatch):
         monkeypatch.setattr(facets, name, forbidden)
     counts = [facet_count_via_subgraphs(g) for g in graphs]
     assert counts == SAMPLED_SPARSE_COUNTS + [3096096, 2916096, 3720384, 6**15]
+
+
+def test_third_path_calls_nothing_from_the_counters(monkeypatch):
+    from sepfacets import facets
+
+    small = [g for n in range(2, 6) for e in range(n - 1, n * (n - 1) // 2 + 1) for g in connected_graphs(n, e)]
+    six = [g for e in range(5, 16) for g in connected_graphs(6, e)]
+    graphs = small + Random(23).sample(six, 4)
+
+    def forbidden(*args):
+        raise AssertionError("facet_functions reached a counting path's code")
+
+    for name in ("_walk_two_colourings", "_contract", "_unit_count", "_count_all_unit_labelings",
+                 "_fold", "_frontier_order", "facet_count"):
+        monkeypatch.setattr(facets, name, forbidden)
+    for g in graphs:
+        assert facet_functions(g) == reference_facet_labelings(g), g
+    assert len(facet_functions(windmill(13, 6))) == windmill_count(13, 6)
