@@ -19,7 +19,7 @@ from .enumeration import DEFAULT_GUARD, GuardExceeded, connected_graphs
 from .facets import facet_count
 from .formulas import FamilySpec, decimal
 from .graph import ParseError, graph_from_json, graph_to_json, parse_graph
-from .sampler import ChainConfig, figure_csv, records_jsonl, run_chain
+from .sampler import ChainConfig, figure_csv_lines, records_jsonl_lines, run_chain
 
 GUARD_ENV = "SEP_FACETS_GUARD"
 
@@ -193,12 +193,12 @@ def main(argv: list[str] | None = None) -> int:
                 thin=args.thin,
                 initial=initial,
             )
-            records = list(run_chain(cfg))
             if args.format == "csv":
-                text = figure_csv(records, args.mode, cfg, args.deterministic)
+                lines = figure_csv_lines(run_chain(cfg), args.mode, cfg, args.deterministic)
             else:
-                text = records_jsonl(records, cfg, args.deterministic)
-            Path(args.out).write_text(text)
+                lines = records_jsonl_lines(run_chain(cfg), cfg, args.deterministic)
+            with open(args.out, "w") as out:  # each line goes out as its record arrives
+                out.writelines(lines)
             return 0
         if args.command == "enumerate":
             lines = [

@@ -307,6 +307,12 @@ def closed_form_count(g: Graph) -> int | None:
 # family specs for the command line
 # ---------------------------------------------------------------------------
 
+def _tree(n: int) -> Graph:
+    if n < 1:
+        raise ValueError(f"tree needs >= 1 vertex, got {n}")
+    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+
+
 def _wedge_cycles(*lengths: int) -> Graph:
     if any(c < 3 for c in lengths):
         raise MultigraphError(f"cycle lengths {lengths} include a degenerate cycle; formula only")
@@ -321,7 +327,7 @@ def _wedge_cycles(*lengths: int) -> Graph:
 # length counts by absolute value, so a negative one cannot offset a huge one
 _FAMILIES = {
     "cycle": (1, lambda m: m, cycle_count, cycle),  # m
-    "tree": (1, lambda n: n, tree_count, lambda n: Graph(1, ()) if n == 1 else path(n - 1)),  # n
+    "tree": (1, lambda n: n, tree_count, _tree),  # n
     "cycle-path": (2, lambda n, m: n, cycle_with_tail_count, cycle_with_tail),  # n, m
     "two-cycles": (3, lambda n, i, j: n, double_cycle_count, double_cycle),  # n, i, j
     "paths": (None, lambda *m: 2 + sum(abs(x - 1) for x in m),

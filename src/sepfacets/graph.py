@@ -239,49 +239,22 @@ def biconnected_blocks(g: Graph) -> list[tuple[tuple[int, int], ...]]:
     """Edge sets of the biconnected components; bridges show up as 1-edge blocks.
 
     The block decomposition is exactly the iterated-wedge structure of the
-    graph, which is why facet counts multiply across blocks.  Pendant edges
-    are peeled first, each a 1-edge block, until every vertex left has
-    degree >= 2; a depth-first search from one vertex splits that core.  A
-    vertex neither peeled nor reached means g is disconnected, and raises.
+    graph, which is why facet counts multiply across blocks.  One iterative
+    depth-first search from vertex 0 (Hopcroft-Tarjan) splits every block
+    off the edge stack as it closes.  A vertex the search does not reach
+    means g is disconnected, and raises.
     """
     if g.n <= 1:
         return []
-    deg, rest = [0] * g.n, [0] * g.n  # rest[v]: XOR of v's unpeeled neighbours
-    for u, v in g.edges:
-        deg[u] += 1
-        deg[v] += 1
-        rest[u] ^= v
-        rest[v] ^= u
-    blocks: list[tuple[tuple[int, int], ...]] = []
-    leaves = [v for v in range(g.n) if deg[v] == 1]
-    for v in leaves:  # leaves grows while it is walked
-        if deg[v] == 1:  # 0 when its edge was peeled from the other end
-            w = rest[v]
-            deg[v] = 0
-            deg[w] -= 1
-            rest[w] ^= v
-            blocks.append(((v, w) if v < w else (w, v),))
-            if deg[w] == 1:
-                leaves.append(w)
-    peeled = len(blocks)
-    root = next((v for v in range(g.n) if deg[v]), None)
-    if root is None:  # a forest: connected when one vertex is left over
-        if peeled != g.n - 1:
-            raise ValueError("graph must be connected")
-        return blocks
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        if deg[u] and deg[v]:  # an edge of the core
-            adj[u].append(v)
-            adj[v].append(u)
     disc = [0] * g.n
     low = [0] * g.n
     parent = [-1] * g.n
-    todo = [iter(ws) for ws in adj]  # each vertex's neighbours not yet scanned
-    disc[root] = low[root] = 1
+    todo = [iter(ws) for ws in adjacency(g)]  # each vertex's neighbours not yet scanned
+    disc[0] = low[0] = 1
     timer = 2
+    blocks: list[tuple[tuple[int, int], ...]] = []
     edge_stack: list[tuple[int, int]] = []
-    stack = [root]
+    stack = [0]
     while stack:
         v = stack[-1]
         for w in todo[v]:
@@ -315,8 +288,7 @@ def biconnected_blocks(g: Graph) -> list[tuple[tuple[int, int], ...]]:
                         if e == key:
                             break
                     blocks.append(tuple(sorted(block)))
-    # connected iff the peeled vertices and the reached core are all of g
-    if peeled + timer - 1 != g.n:
+    if timer - 1 != g.n:  # the search reached fewer than n vertices
         raise ValueError("graph must be connected")
     return blocks
 

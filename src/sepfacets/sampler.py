@@ -23,8 +23,9 @@ import json
 import math
 from bisect import insort
 from dataclasses import dataclass
+from itertools import chain
 from random import Random
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .facets import facet_count
 from .enumeration import GuardExceeded
@@ -273,61 +274,64 @@ def _metadata(cfg: ChainConfig, deterministic: bool) -> dict:
     return meta
 
 
-def figure_csv(
-    records: list[SampleRecord],
+def figure_csv_lines(
+    records: Iterable[SampleRecord],
     mode: str,
     cfg: ChainConfig,
     deterministic: bool = False,
-) -> str:
-    """CSV for plotting: per-sample scatter rows or an exact histogram.
+) -> Iterator[str]:
+    """CSV for plotting, one newline-terminated line at a time: per-sample
+    scatter rows or an exact histogram.  Records are read as they arrive,
+    so a scatter holds one record at a time and a histogram only its
+    frequencies.
 
     scatter: n, log10 of the facet count, and the reference line value
     log10(6)/2 * (n-1) (the full windmill's count for that n).
     histogram: facet_count (decimal string), frequency; empty buckets are
     simply absent.
     """
-    if not records:
+    if mode not in ("scatter", "histogram"):
+        raise ValueError(f"unknown figure mode {mode!r}")
+    records = iter(records)
+    first = next(records, None)
+    if first is None:
         raise ValueError("no records to emit")
+    records = chain((first,), records)
     meta = _metadata(cfg, deterministic)
     stamp = meta.pop("generated", None)
-    lines = ["# " + " ".join(f"{k}={v}" for k, v in meta.items())]
+    yield "# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n"
     if stamp is not None:
-        lines.append(f"# generated={stamp}")
+        yield f"# generated={stamp}\n"
     if mode == "scatter":
-        lines.append("n,log10_facets,ref_log10")
+        yield "n,log10_facets,ref_log10\n"
         for r in records:
             ref = math.log10(6) / 2 * (r.graph.n - 1)
-            lines.append(f"{r.graph.n},{r.log10_count:.6f},{ref:.6f}")
-    elif mode == "histogram":
+            yield f"{r.graph.n},{r.log10_count:.6f},{ref:.6f}\n"
+    else:
         freq: dict[int, int] = {}
         for r in records:
             freq[r.count] = freq.get(r.count, 0) + 1
-        lines.append("facet_count,frequency")
+        yield "facet_count,frequency\n"
         for count in sorted(freq):
-            lines.append(f"{count},{freq[count]}")
-    else:
-        raise ValueError(f"unknown figure mode {mode!r}")
-    return "\n".join(lines) + "\n"
+            yield f"{count},{freq[count]}\n"
 
 
-def records_jsonl(
-    records: list[SampleRecord],
+def records_jsonl_lines(
+    records: Iterable[SampleRecord],
     cfg: ChainConfig,
     deterministic: bool = False,
-) -> str:
-    """JSON-lines dump with full graph serializations; counts are decimal
-    strings since they outgrow doubles quickly."""
-    out = [json.dumps({"meta": _metadata(cfg, deterministic)}, sort_keys=True)]
+) -> Iterator[str]:
+    """JSON-lines dump with full graph serializations, one newline-terminated
+    line per record as it arrives; counts are decimal strings since they
+    outgrow doubles quickly."""
+    yield json.dumps({"meta": _metadata(cfg, deterministic)}, sort_keys=True) + "\n"
     for r in records:
-        out.append(
-            json.dumps(
-                {
-                    "step": r.step,
-                    "count": str(r.count),
-                    "log10": round(r.log10_count, 6),
-                    "graph": graph_to_json(r.graph),
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(out) + "\n"
+        yield json.dumps(
+            {
+                "step": r.step,
+                "count": str(r.count),
+                "log10": round(r.log10_count, 6),
+                "graph": graph_to_json(r.graph),
+            },
+            sort_keys=True,
+        ) + "\n"

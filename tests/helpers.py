@@ -20,7 +20,7 @@ from sepfacets.enumeration import CanonicalForm, _refine_colors
 from sepfacets.facets import _walk_two_colourings
 from sepfacets.formulas import _paths
 from sepfacets.graph import Graph, adjacency, is_connected
-from sepfacets.sampler import ChainConfig, default_initial
+from sepfacets.sampler import ChainConfig, default_initial, figure_csv_lines, records_jsonl_lines
 
 
 def _spans_connected(n: int, edges) -> bool:
@@ -532,3 +532,13 @@ def reference_last_element(h: Graph, new: tuple[int, int]) -> bool:
     return not any(key(x, y) > key(*new)
                    and is_connected(Graph(h.n, tuple(p for p in h.edges if p != (x, y))))
                    for x, y in h.edges)
+
+
+def figure_csv(records, mode, cfg, deterministic=False) -> str:
+    """The whole of sampler.figure_csv_lines as one string."""
+    return "".join(figure_csv_lines(records, mode, cfg, deterministic))
+
+
+def records_jsonl(records, cfg, deterministic=False) -> str:
+    """The whole of sampler.records_jsonl_lines as one string."""
+    return "".join(records_jsonl_lines(records, cfg, deterministic))

@@ -9,13 +9,13 @@ import time
 from contextlib import contextmanager
 from random import Random
 
-from helpers import random_connected_graph
+from helpers import figure_csv, random_connected_graph
 from sepfacets import conjectures as cj
 from sepfacets.enumeration import connected_graphs
 from sepfacets.facets import facet_count, facet_count_via_subgraphs, facet_functions
 from sepfacets.formulas import closed_form_count, cycle_with_tail_count, windmill_count
 from sepfacets.graph import Graph, is_connected, path, wedge
-from sepfacets.sampler import ChainConfig, figure_csv, iter_states, run_chain
+from sepfacets.sampler import ChainConfig, iter_states, run_chain
 
 
 @contextmanager

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -88,6 +89,13 @@ def test_formula_commands(capsys):
 def test_formula_bad_family(capsys):
     assert main(["formula", "dodecahedron", "1"]) == 1
     assert "unknown family" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_tree_below_one_vertex_is_refused_by_both_commands(capsys, n):
+    for argv in (["formula", "tree", n], ["count", "--family", "tree", n]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"sepfacets: tree needs >= 1 vertex, got {n}\n"
 
 
 def test_usage_error_exit_code():
@@ -193,6 +201,24 @@ def test_sample_histogram_jsonl_and_initial(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert json.loads(lines[0])["meta"]["n"] == 7
     assert json.loads(lines[1])["count"] == "216"  # starts at the windmill
+
+
+def test_sample_memory_does_not_grow_with_samples(tmp_path):
+    # each record is written as it arrives, so 4x the records may not cost
+    # 4x the memory; holding them all took about 7 MB more at 20k than 5k
+    peaks = []
+    for fmt, mode, lines in (("csv", "scatter", 20002), ("csv", "histogram", 3), ("jsonl", "scatter", 20001)):
+        for samples in (5000, 20000):
+            argv = ["sample", "--n", "2", "--edges", "1", "--samples", str(samples), "--seed", "1",
+                    "--format", fmt, "--mode", mode, "--deterministic", "--out", str(tmp_path / "s")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len((tmp_path / "s").read_text().splitlines()) == lines
+        assert peaks[-1] - peaks[-2] < 1 << 20, (fmt, mode, peaks[-2:])
 
 
 def test_chain_without_edges_is_refused(tmp_path, capsys):

@@ -390,6 +390,11 @@ def test_closed_form_count_families():
         (wedge(cycle(5), cycle(3), 0, 0), 180),
         (wedge(parallel_paths([2, 2, 2]), path(2), 3, 0), 40),
     ]
+    # members at the family cap: a recursive block split or one that loses
+    # a vertex fails here
+    for kind, params in (("tree", (100002,)), ("cycle", (100002,)), ("windmill", (100001, 50000))):
+        spec = FamilySpec(kind, params)
+        cases.append((spec.graph(), spec.count()))
     for g, want in cases:
         assert closed_form_count(g) == want
 

@@ -205,9 +205,8 @@ def _blocks_or_error(split, g: Graph):
 
 
 def test_blocks_match_the_reference_split():
-    # the pendant peel and the search on the core give the blocks the
-    # reference search over the whole graph gives, in some order, and the
-    # same error on every disconnected graph
+    # the single search from vertex 0 gives the blocks the reference split
+    # gives, in some order, and the same error on every disconnected graph
     graphs = [g for n in range(1, 8) for e in range(n - 1, n * (n - 1) // 2 + 1)
               for g in connected_graphs(n, e, guard=None)]
     assert len(graphs) == 996
@@ -219,7 +218,7 @@ def test_blocks_match_the_reference_split():
     graphs += [
         Graph(2, ()),
         Graph(3, ((0, 1),)),  # an isolated vertex next to a tree
-        Graph(4, ((0, 1), (2, 3))),  # a forest whose every vertex peels
+        Graph(4, ((0, 1), (2, 3))),  # a forest of two separate edges
         Graph(6, ((0, 1), (1, 2), (3, 4), (4, 5))),
         Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))),
         Graph(6, ((0, 1), (0, 2), (1, 2), (2, 3), (4, 5))),  # a pendant tree off the core, a stray edge

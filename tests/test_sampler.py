@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from helpers import mask_graph, mcmc_step, reference_chain, swap_class
+from helpers import figure_csv, mask_graph, mcmc_step, records_jsonl, reference_chain, swap_class
 from sepfacets.enumeration import GuardExceeded
 from sepfacets.facets import facet_count
 from sepfacets.graph import (
@@ -23,9 +23,7 @@ from sepfacets.sampler import (
     _ChainState,
     _start,
     default_initial,
-    figure_csv,
     iter_states,
-    records_jsonl,
     run_chain,
 )
 
