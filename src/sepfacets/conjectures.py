@@ -26,6 +26,7 @@ from .formulas import (
     double_cycle_max,
     parallel_paths_count,
     path_run_ceilings,
+    path_runs,
     same_parity_count,
     windmill_count,
 )
@@ -134,29 +135,21 @@ def _all_triples(total: int):
 
 def _triple_survivors(total: int, same_parity: bool, seed):
     """The items function of _bounded_max over _all_triples(total), or its
-    same-parity share, for this seed.  For x3 = z, the triples whose x2
-    has one parity form a run (total - z - b, b, z), b = b0, b0 + 2, ...
-    A run whose path_run_ceilings cap is below floor drops out whole;
-    otherwise each triple whose ceiling is below floor does.  The kept x2
-    of both runs and the seed's merge back into ascending order."""
+    same-parity share, for this seed.  A run of path_runs whose cap is
+    below floor drops out whole; otherwise each triple whose
+    path_run_ceilings ceiling is below floor does.  The kept triples and
+    the seed come back in the order of _all_triples."""
     _refuse_table(f"the triple sweep at sum {total}", total * total // 2)
-    c, runs = _central_binomials(total), 1 if same_parity else 2
+    c = _central_binomials(total)
 
     def survivors(floor: int):
-        kept, count, floors = [], 0, repeat(floor)
-        for z in range(1, total // 3 + 1):
-            if same_parity and (total - z) % 2:
-                continue  # x1 + x2 is odd, so they differ in parity
-            hi, bs = (total - z) // 2, [seed[1]] if z == seed[2] else []
-            for b in range(z, min(z + runs, hi + 1)):
-                k = (hi - b) // 2 + 1
-                count += k
-                cap, ceilings = path_run_ceilings(c, total - z - b, b, z, k)
-                if cap >= floor:
-                    bs += compress(range(b, hi + 1, 2), map(le, floors, ceilings()))
-            if bs:
-                kept += [(total - z - b, b, z) for b in sorted(set(bs))]
-        return kept, count
+        kept, count, floors = {(seed[2], seed[1])}, 0, repeat(floor)
+        for a, b, z, k, cap in path_runs(c, total, same_parity):
+            count += k
+            if cap >= floor:
+                bs = compress(range(b, b + 2 * k, 2), map(le, floors, path_run_ceilings(c, a, b, z, k)))
+                kept.update(zip(repeat(z), bs))
+        return [(total - z - b, b, z) for z, b in sorted(kept)], count
 
     return survivors
 
@@ -272,6 +265,8 @@ def check_f_bounds(n: int) -> ConjectureReport:
     t0 = time.perf_counter()
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
+    # about (n+1)^2/48 counts of up to n + 1 bits each
+    _refuse_table(f"fbounds at n={n}", (n + 1) ** 3 // 48)
     rep = ConjectureReport("fbounds", {"n": n}, "verified", "0")
     expected_arg = (n - 1, 1, 1) if n % 2 == 0 else (n - 3, 2, 2)
     values = {t: same_parity_count(t) for t in _same_parity_triples(n + 1)}

@@ -172,42 +172,62 @@ def parallel_paths_count(lengths) -> int:
     return _paths(path_lengths(lengths), _same_parity)
 
 
+def path_runs(c: list[int], total: int, same_parity: bool):
+    """Yield (a, b, z, k, cap) for each run of the triple sweeps at this
+    sum: the k triples (a - 2i, b + 2i, z), i < k, with third entry z and
+    middle entry of b's parity, over every z (only the all-same-parity runs
+    if same_parity), in ascending z and then b.  c[m] = binom(m, m//2) up
+    to total.  cap is at least each ceiling of path_run_ceilings on the
+    run, and equals the ceiling when k = 1; it reads only the run's ends.
+
+    The ceiling of (x, y, z) is P*Q with P = c[x]*c[y] (see
+    path_run_ceilings).  c[m+2]*(ceil(m/2) + 1) = c[m]*(4*ceil(m/2) + 2),
+    so a step (x, y) -> (x - 2, y + 2) with h = ceil(x/2), g = ceil(y/2)
+    scales P by h(2g + 1)/((2h - 1)(g + 1)) and T1 = h*g*P by
+    (h - 1)(2g + 1)/(g(2h - 1)).  When x and y share a parity, a step
+    inside a run has x >= y + 4, so h >= g + 1: P never rises and T1
+    never falls.  Hence each cap reads a factor at the end where it peaks:
+    - all three of one parity, ceiling 2^z*P: cap 2^z*P(0);
+    - x and y of one parity, z of the other, ceiling 2^z*T1 +
+      z*2^(z-1)*P: cap 2^z*T1(k-1) + z*2^(z-1)*P(0);
+    - x and y of different parities, ceiling P*(K_x*ceil(x/2) +
+      K_y*ceil(y/2)) (see path_run_ceilings): P is log-convex along the
+      run (c[m+2]/c[m] grows with m) and Q is linear in i, so cap is the
+      larger end of P times the larger end of Q."""
+    for z in range(1, total // 3 + 1):
+        hi, w, one = (total - z) // 2, z << (z - 1), 1 << z
+        if (total - z) % 2 == 0:  # a = total - z - b has b's parity
+            a, k = total - 2 * z, (hi - z) // 2 + 1
+            yield a, z, z, k, c[a] * c[z] << z
+            if same_parity or z + 1 > hi:
+                continue
+            a, b, j = a - 1, z + 1, (hi - z - 1) // 2
+            t1 = ((a + 1) // 2 - j) * ((b + 1) // 2 + j) * c[a - 2 * j] * c[b + 2 * j]
+            yield a, b, z, j + 1, (t1 << z) + w * c[a] * c[b]
+        elif not same_parity:  # a and b differ; the one of z's parity weighs w
+            for b, ka, kb in ((z, one, w), (z + 1, w, one)):
+                if b > hi:
+                    break
+                a, k = total - z - b, (hi - b) // 2 + 1
+                j, ha, hb = k - 1, (a + 1) // 2, (b + 1) // 2
+                q = max(ka * ha + kb * hb, ka * (ha - j) + kb * (hb + j))
+                yield a, b, z, k, max(c[a] * c[b], c[a - 2 * j] * c[b + 2 * j]) * q
+
+
 def path_run_ceilings(c: list[int], a: int, b: int, z: int, k: int):
-    """(cap, ceilings) for the run of k triples (a - 2i, b + 2i, z), i < k,
-    with a - 2k + 2 >= b + 2k - 2 >= z >= 1 and c[m] = binom(m, m//2) up
-    to a.  ceilings() yields in order an upper bound on each triple's
-    parallel_paths_count; cap is at least each of them.
+    """An upper bound on each triple's parallel_paths_count, in order, for
+    the run of k triples (a - 2i, b + 2i, z), i < k, with a - 2k + 2 >=
+    b + 2k - 2 >= z >= 1 and c[m] = binom(m, m//2) up to a.
 
     The dispatch takes 2^mt * prod_{k != t} c[mk] for each same-parity sum
     (each binomial is at most its central value; sum_j binom(mt, j) =
     2^mt).  As m*c[m-1] = ceil(m/2)*c[m], that is c[x]*c[y]*Q for (x, y,
     z), with Q = 2^z if all three share a parity and otherwise the sum
     over p in (0, 1) of K_p * prod ceil(w/2) over the w in (x, y) with
-    w % 2 == p, where K_p = z*2^(z-1) if z % 2 == p, else 2^z.
-    c[m+2]/c[m] = 4 - 2/(ceil(m/2) + 1) grows with m, so c[x]*c[y] is
-    log-convex along the run, and Q is monotone along it: both peak at an
-    end of the run, so cap reads only the two ends.  ceilings() is built
-    only when called, and calls no Python function per triple."""
-    j, ha, hb = k - 1, (a + 1) // 2, (b + 1) // 2
-    if a % 2 == b % 2 == z % 2:
-        q = 1 << z
-    elif a % 2 == b % 2:
-        q = (max(ha * hb, (ha - j) * (hb + j)) << z) + (z << (z - 1))
-    else:
-        ka, kb = _run_weights(a, b, z)
-        q = max(ka * ha + kb * hb, ka * (ha - j) + kb * (hb + j))
-    return max(c[a] * c[b], c[a - 2 * j] * c[b + 2 * j]) * q, lambda: _run_ceilings(c, a, b, z, k)
-
-
-def _run_weights(a: int, b: int, z: int) -> tuple[int, int]:
-    """(K_p for the parity of a, K_p for the parity of b) of a mixed run."""
-    return (z << (z - 1), 1 << z) if a % 2 == z % 2 else (1 << z, z << (z - 1))
-
-
-def _run_ceilings(c: list[int], a: int, b: int, z: int, k: int):
-    """The ceilings of path_run_ceilings, as one pipeline of C-level maps:
-    c[x]*c[y] from two stride-2 slices of c, times Q from ranges of
-    ceil(x/2) and ceil(y/2) (each scaled by its weight)."""
+    w % 2 == p, where K_p = z*2^(z-1) if z % 2 == p, else 2^z.  The
+    result is one pipeline of C-level maps, with no Python function per
+    triple: c[x]*c[y] from two stride-2 slices of c, times Q from ranges
+    of ceil(x/2) and ceil(y/2) (each scaled by its weight)."""
     central = map(mul, c[a - 2 * k + 2:a + 1:2][::-1], c[b:b + 2 * k:2])
     ha, hb, one = (a + 1) // 2, (b + 1) // 2, 1 << z
     if a % 2 == b % 2 == z % 2:
@@ -215,7 +235,7 @@ def _run_ceilings(c: list[int], a: int, b: int, z: int, k: int):
     if a % 2 == b % 2:  # Q - z*2^(z-1) = 2^z * ceil(x/2) * ceil(y/2)
         q = map((z << (z - 1)).__add__, map(mul, range(ha, ha - k, -1), range(one * hb, one * (hb + k), one)))
     else:
-        ka, kb = _run_weights(a, b, z)
+        ka, kb = (z << (z - 1), one) if a % 2 == z % 2 else (one, z << (z - 1))
         q = map(add, range(ka * ha, ka * (ha - k), -ka), range(kb * hb, kb * (hb + k), kb))
     return map(mul, central, q)
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from decimal import Decimal
 from pathlib import Path
@@ -329,6 +330,7 @@ def test_long_digit_strings_are_still_refused_as_input(capsys):
         (["verify", "nnmax", "--n", "1000000"], "cycle_with_tail_count"),
         (["verify", "mixed-cb", "--n", "1000000"], "_central_binomials"),
         (["verify", "f-leq-m", "--n", "1000000"], "_central_binomials"),
+        (["verify", "fbounds", "--n", "4000"], "same_parity_count"),
     ],
 )
 def test_formula_tables_past_the_cap_are_refused(monkeypatch, capsys, argv, table):
@@ -338,7 +340,9 @@ def test_formula_tables_past_the_cap_are_refused(monkeypatch, capsys, argv, tabl
         raise AssertionError("table built past the cap")
 
     monkeypatch.setattr(conjectures, table, no_allocation)
+    t0 = time.perf_counter()
     assert main(argv) == 3
+    assert time.perf_counter() - t0 < 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -139,7 +140,9 @@ def test_bounded_sweeps_halt_on_first_excess(monkeypatch, sweep, value, n, at, w
 def _ceiling_off(monkeypatch):
     """Make every triple's ceiling (and every run's cap) infinite, so that
     the triple sweeps evaluate every triple exactly (the seed once, first)."""
-    monkeypatch.setattr(cj, "path_run_ceilings", lambda c, a, b, z, k: (math.inf, lambda: [math.inf] * k))
+    runs = cj.path_runs
+    monkeypatch.setattr(cj, "path_runs", lambda *args: ((*r[:4], math.inf) for r in runs(*args)))
+    monkeypatch.setattr(cj, "path_run_ceilings", lambda c, a, b, z, k: [math.inf] * k)
 
 
 def _bare(reports):
@@ -191,13 +194,20 @@ def test_pruned_sweeps_report_a_spiked_seed(monkeypatch, sweep, value, seed):
 
 def test_mixed_cb_exact_evaluations_on_the_bench_band(monkeypatch):
     # the benchmark's formula-sweep band: 484 of its 129197 triples are
-    # evaluated exactly; a weaker ceiling would evaluate more
-    calls = []
-    real = cj.parallel_paths_count
+    # evaluated exactly; a weaker ceiling would evaluate more.  Regression
+    # pins: of its 5783 runs, 100 pass their cap, and the evaluated triples
+    # and their order are those of the product-of-ends cap
+    calls, runs, passed = [], [], []
+    real, real_runs, real_ceilings = cj.parallel_paths_count, cj.path_runs, cj.path_run_ceilings
     monkeypatch.setattr(cj, "parallel_paths_count", lambda t: calls.append(t) or real(t))
+    monkeypatch.setattr(cj, "path_runs", lambda *args: (runs.append(r) or r for r in real_runs(*args)))
+    monkeypatch.setattr(cj, "path_run_ceilings", lambda *args: passed.append(args[1:]) or real_ceilings(*args))
     reports = [cj.check_mixed_cb(n) for n in range(150, 200)]
     assert sum(r.params["triples"] for r in reports) == 129197
     assert len(calls) == 484
+    assert len(runs) == 5783 and len(passed) == 100
+    digest = hashlib.sha256(repr(calls).encode()).hexdigest()
+    assert digest == "0e4c7af37c74024869557738baa215172af81b2f9ff9195313bdbfba552207bd"
 
 
 @pytest.mark.parametrize(

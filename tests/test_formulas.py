@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -21,6 +22,7 @@ from sepfacets.formulas import (
     double_cycle_max,
     parallel_paths_count,
     path_run_ceilings,
+    path_runs,
     same_parity_count,
     theta_count,
     tree_count,
@@ -176,8 +178,14 @@ def test_path_kernel_matches_reference_across_the_row_cap():
             assert theta_count(m, t) == same_parity_count([m] * t), (m, t)
 
 
+@functools.cache
+def _central_binomial(m):
+    return math.comb(m, m // 2)
+
+
 def _central(limit):
-    return [math.comb(m, m // 2) for m in range(limit + 1)]
+    # cached per m: the lemma and the large-triple runs share lengths to 5000
+    return [_central_binomial(m) for m in range(limit + 1)]
 
 
 def _runs(total):
@@ -208,14 +216,18 @@ def test_run_ceilings_match_the_reference_bound():
     bound = parallel_paths_bound(c)
     for total in range(3, 201):
         seen = []
-        for a, b, z, k in _runs(total):
+        runs = list(path_runs(c, total, False))
+        assert [r[:4] for r in runs] == list(_runs(total)), total
+        for a, b, z, k, cap in runs:
             run = [(a - 2 * i, b + 2 * i, z) for i in range(k)]
-            cap, ceilings = path_run_ceilings(c, a, b, z, k)
             want = [bound(t) for t in run]
-            assert list(ceilings()) == want, run
+            assert list(path_run_ceilings(c, a, b, z, k)) == want, run
             assert cap >= max(want), run
             seen += run
         assert sorted(seen) == sorted(_triples(total)), total
+        # the same-parity sweep gets exactly the runs of one parity
+        same = [r for r in runs if r[0] % 2 == r[1] % 2 == r[2] % 2]
+        assert list(path_runs(c, total, True)) == same, total
 
 
 def test_run_certificate_lemma():
@@ -227,24 +239,69 @@ def test_run_certificate_lemma():
         assert c[m + 2] * ((m + 1) // 2 + 1) == c[m] * (4 * ((m + 1) // 2) + 2), m
 
 
+def _product_of_ends_cap(c, a, b, z, k):
+    """The run cap as the larger end of c[x]*c[y] times the larger end of
+    Q, for every run shape: the looser cap that path_runs improves on."""
+    j, ha, hb = k - 1, (a + 1) // 2, (b + 1) // 2
+    if a % 2 == b % 2 == z % 2:
+        q = 1 << z
+    elif a % 2 == b % 2:
+        q = (max(ha * hb, (ha - j) * (hb + j)) << z) + (z << (z - 1))
+    else:
+        ka, kb = (z << (z - 1), 1 << z) if a % 2 == z % 2 else (1 << z, z << (z - 1))
+        q = max(ka * ha + kb * hb, ka * (ha - j) + kb * (hb + j))
+    return max(c[a] * c[b], c[a - 2 * j] * c[b + 2 * j]) * q
+
+
+def test_run_caps_read_each_factor_at_its_peak():
+    # along a run with x and y of one parity, P = c[x]*c[y] never rises and
+    # T1 = ceil(x/2)*ceil(y/2)*P never falls, so a cap may read P at the
+    # first triple and T1 at the last; exact integers, every run to sum 200
+    c = _central(200)
+    bound = parallel_paths_bound(c)
+    for total in range(3, 201):
+        for a, b, z, k, cap in path_runs(c, total, False):
+            run = [(a - 2 * i, b + 2 * i, z) for i in range(k)]
+            if a % 2 == b % 2:
+                p = [c[x] * c[y] for x, y, _ in run]
+                t1 = [(x + 1) // 2 * ((y + 1) // 2) * c[x] * c[y] for x, y, _ in run]
+                assert p == sorted(p, reverse=True) and t1 == sorted(t1), run
+            ceilings = [bound(t) for t in run]
+            assert cap >= max(ceilings), run
+            assert k > 1 or cap == ceilings[0], run
+            assert cap <= _product_of_ends_cap(c, a, b, z, k), run
+
+
 def test_path_bound_covers_large_triples():
     cap = formulas.PASCAL_ROWS_MAX
     rng = Random(8)
     triples = [(cap + 1, cap - 1, 1), (cap + 2, cap, 2), (cap + 1, cap + 1, cap + 1)]
     triples += [tuple(rng.randint(1, 3 * cap) for _ in range(3)) for _ in range(40)]
-    c = _central(3 * cap + 3)
+    c = _central(9 * cap + 3)
     bound = parallel_paths_bound(c)
     for t in triples:
         assert bound(t) >= parallel_paths_count(t), t
-        # the factored ceiling of the one-triple run agrees
-        top, ceilings = path_run_ceilings(c, *sorted(t, reverse=True), 1)
-        assert top == bound(t) and list(ceilings()) == [top], t
+        # the factored ceiling of the one-triple run agrees, and so does the
+        # ceiling of t in its run of the sweep, under the run's cap; every
+        # one-triple run of the sum has its ceiling as its cap
+        x, y, z = sorted(t, reverse=True)
+        assert list(path_run_ceilings(c, x, y, z, 1)) == [bound(t)], t
+        runs = list(path_runs(c, x + y + z, False))
+        a, b, _, k, top = next(r for r in runs if r[2] == z and r[1] % 2 == y % 2)
+        ceilings = list(path_run_ceilings(c, a, b, z, k))
+        assert ceilings[(y - b) // 2] == bound(t) and top >= max(ceilings), t
+        singles = [r for r in runs if r[3] == 1]
+        assert singles and [r[4] for r in singles] == [bound(r[:3]) for r in singles], t
     # order-free, and exact on a single path
     assert bound((1, 5, 2)) == bound((5, 2, 1))
     assert bound((7,)) == parallel_paths_count((7,)) == 128
     # the worked example: (16, 14, 1) has Q = 2*8*7 + 1 = 113, exactly
-    top, _ = path_run_ceilings(c, 16, 14, 1, 1)
-    assert top == c[16] * c[14] * 113 == 4991191920 == parallel_paths_count((16, 14, 1))
+    top = c[16] * c[14] * 113
+    assert list(path_run_ceilings(c, 16, 14, 1, 1)) == [top]
+    assert top == 4991191920 == parallel_paths_count((16, 14, 1))
+    # it ends the run (28, 2, 1), ..., (16, 14, 1), whose cap takes T1 =
+    # 8*7*c[16]*c[14] there and P = c[28]*c[2] at the run's start
+    assert (28, 2, 1, 7, (2 * 8 * 7 * c[16] * c[14]) + c[28] * c[2]) in path_runs(c, 31, False)
 
 
 def test_pascal_table_stays_bounded():
