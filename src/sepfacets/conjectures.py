@@ -12,7 +12,6 @@ with a reproducible witness.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
 from itertools import compress, repeat
 from operator import le
 
@@ -30,7 +29,7 @@ from .formulas import (
     same_parity_count,
     windmill_count,
 )
-from .graph import Graph, biconnected_blocks, cycle_with_tail, serialize_graph, windmill
+from .graph import Fields, Graph, biconnected_blocks, cycle_with_tail, serialize_graph, windmill
 from .sampler import ChainConfig, run_chain
 
 # The formula sweeps that tabulate big integers (central binomials up to
@@ -41,24 +40,24 @@ from .sampler import ChainConfig, run_chain
 MAX_TABLE_BITS = 1 << 29  # 64 MiB
 
 
-@dataclass
-class ConjectureReport:
-    """Outcome of one verification sweep.
+class ConjectureReport(Fields):
+    """Outcome of one verification sweep; mutable, so unhashable.
 
     status is "verified", "counterexample", or "partial" (sampling-based
     evidence only).  A counterexample always carries a witness that
     reproduces it: a serialized graph or a parameter tuple.
     """
 
-    id: str
-    params: dict
-    status: str
-    max: str
-    witnesses: list[str] = field(default_factory=list)
-    elapsed_ms: int = 0
+    __slots__ = ("id", "params", "status", "max", "witnesses", "elapsed_ms")
+
+    def __init__(self, id: str, params: dict, status: str, max: str,
+                 witnesses: list[str] | None = None, elapsed_ms: int = 0):
+        self.id, self.params, self.status, self.max = id, params, status, max
+        self.witnesses, self.elapsed_ms = [] if witnesses is None else witnesses, elapsed_ms
 
     def to_json(self) -> dict:
-        return asdict(self)
+        from copy import deepcopy  # only output needs it; start-up would pay for it
+        return {name: deepcopy(getattr(self, name)) for name in self.__slots__}
 
 
 def _finish(report: ConjectureReport, t0: float) -> ConjectureReport:
@@ -265,29 +264,36 @@ def check_f_bounds(n: int) -> ConjectureReport:
     t0 = time.perf_counter()
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
-    # about (n+1)^2/48 counts of up to n + 1 bits each
+    # about (n+1)^2/48 counts of up to n + 1 bits each; the sweep holds two
+    # rows of x3, but the cap still bounds its work
     _refuse_table(f"fbounds at n={n}", (n + 1) ** 3 // 48)
     rep = ConjectureReport("fbounds", {"n": n}, "verified", "0")
     expected_arg = (n - 1, 1, 1) if n % 2 == 0 else (n - 3, 2, 2)
-    values = {t: same_parity_count(t) for t in _same_parity_triples(n + 1)}
-    mx = max(values.values())
+    # Rows of x3 come in steps of 2, so a move reads row x3 - 2 or the row
+    # so far.  A failed argmax check outranks the first failed move.
+    mx, argmax, move, row, prev, row_x3 = -1, None, None, {}, {}, None
+    for triples, t in enumerate(_same_parity_triples(n + 1), 1):
+        x1, x2, x3 = t
+        if x3 != row_x3:
+            prev, row, row_x3 = row, {}, x3
+        v = row[x2] = same_parity_count(t)
+        if v > mx:
+            mx, argmax = v, t
+        if move is None and x3 >= 3:
+            if v > prev[x2]:
+                move = f"F{t} > F{(x1 + 2, x2, x3 - 2)}"
+            elif x2 - 2 >= x3 and v > row[x2 - 2]:
+                move = f"F{t} > F{(x1 + 2, x2 - 2, x3)}"
     rep.max = decimal(mx)
-    if values.get(expected_arg) != mx:
+    if same_parity_count(expected_arg) != mx:
         rep.status = "counterexample"
-        rep.witnesses = [f"argmax {max(values, key=values.get)} beats {expected_arg}"]
-        return _finish(rep, t0)
-    rep.witnesses = [str(expected_arg)]
-    for (x1, x2, x3), v in values.items():
-        if x3 >= 3:
-            if v > values[(x1 + 2, x2, x3 - 2)]:
-                rep.status = "counterexample"
-                rep.witnesses = [f"F{(x1, x2, x3)} > F{(x1 + 2, x2, x3 - 2)}"]
-                return _finish(rep, t0)
-            if x2 - 2 >= x3 and v > values[(x1 + 2, x2 - 2, x3)]:
-                rep.status = "counterexample"
-                rep.witnesses = [f"F{(x1, x2, x3)} > F{(x1 + 2, x2 - 2, x3)}"]
-                return _finish(rep, t0)
-    rep.params["triples"] = len(values)
+        rep.witnesses = [f"argmax {argmax} beats {expected_arg}"]
+    elif move is not None:
+        rep.status = "counterexample"
+        rep.witnesses = [move]
+    else:
+        rep.witnesses = [str(expected_arg)]
+        rep.params["triples"] = triples
     return _finish(rep, t0)
 
 

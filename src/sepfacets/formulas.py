@@ -12,13 +12,13 @@ total on the degenerate shapes the recursions produce.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from itertools import accumulate
 from operator import add, mul
 
 from .enumeration import GuardExceeded
 from .graph import (
+    Frozen,
     Graph,
     MultigraphError,
     biconnected_blocks,
@@ -369,16 +369,15 @@ _FAMILIES = {
 MAX_FAMILY_VERTICES = 100_002
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Frozen):
     """A named graph family instance: a formula evaluation and, when the
     parameters describe a simple graph, a concrete Graph to build."""
 
-    kind: str
-    params: tuple[int, ...]
-    tail: int = 0  # trailing pendant edges, wedge-cycles only
+    __slots__ = ("kind", "params", "tail")
 
-    def __post_init__(self):
+    # tail: trailing pendant edges, wedge-cycles only
+    def __init__(self, kind: str, params: tuple[int, ...], tail: int = 0):
+        super().__init__(kind, params, tail)
         if self.kind not in _FAMILIES:
             raise ValueError(
                 f"unknown family {self.kind!r}; choose from {sorted(_FAMILIES)}"

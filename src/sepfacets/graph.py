@@ -14,7 +14,48 @@ counts have closed forms in :mod:`sepfacets.formulas`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
+
+
+class Fields:
+    """Equality and repr over the fields named in __slots__, in order: plain
+    classes, as importing dataclasses costs every run a few ms of start-up."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if cls.__slots__:  # Frozen itself adds none
+            cls._values = property(attrgetter(*cls.__slots__))  # the field tuple
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Frozen(Fields):
+    """Fields that are set once, in __init__, and hash as their tuple."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__qualname__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values
 
 
 class MultigraphError(ValueError):
@@ -30,28 +71,27 @@ class ParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Frozen):
     """Simple undirected graph on vertices 0..n-1 with a canonical edge tuple."""
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "edges")
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
         canon = []
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if u > v:
                 u, v = v, u
-            if not 0 <= u < v < self.n:
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
+            if not 0 <= u < v < n:
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             canon.append((u, v))
         deduped = tuple(sorted(set(canon)))
         if len(deduped) != len(canon):
             raise ValueError("duplicate edge")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", deduped)
 
     @property

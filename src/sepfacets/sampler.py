@@ -17,19 +17,17 @@ integer draws only (no floats), recorded in output metadata as
 
 from __future__ import annotations
 
-import datetime
 import functools
 import json
 import math
 from bisect import insort
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from itertools import chain
 from random import Random
-from typing import Iterable, Iterator
 
 from .facets import facet_count
 from .enumeration import GuardExceeded
-from .graph import Graph, adjacency, cycle, graph_to_json, is_connected
+from .graph import Frozen, Graph, adjacency, cycle, graph_to_json, is_connected
 
 RNG_ID = "python-random-mt19937"
 
@@ -38,19 +36,14 @@ RNG_ID = "python-random-mt19937"
 MAX_CHAIN_VERTICES = 1024
 
 
-@dataclass(frozen=True)
-class ChainConfig:
+class ChainConfig(Frozen):
     """Parameters of one chain run; immutable and fully reproducible."""
 
-    n: int
-    e: int
-    steps: int
-    burn_in: int
-    thin: int
-    seed: int
-    initial: Graph | None = None
+    __slots__ = ("n", "e", "steps", "burn_in", "thin", "seed", "initial")
 
-    def __post_init__(self):
+    def __init__(self, n: int, e: int, steps: int, burn_in: int, thin: int, seed: int,
+                 initial: Graph | None = None):
+        super().__init__(n, e, steps, burn_in, thin, seed, initial)
         if self.n > MAX_CHAIN_VERTICES:
             raise GuardExceeded(
                 f"a chain on n={self.n} vertices exceeds the limit of {MAX_CHAIN_VERTICES}"
@@ -111,14 +104,14 @@ class ChainConfig:
         }
 
 
-@dataclass(frozen=True)
-class SampleRecord:
+class SampleRecord(Frozen):
     """One emitted state: the step index at which it was recorded, its
     exact facet count, and the graph itself."""
 
-    step: int
-    count: int
-    graph: Graph
+    __slots__ = ("step", "count", "graph")
+
+    def __init__(self, step: int, count: int, graph: Graph):
+        super().__init__(step, count, graph)
 
     @property
     def log10_count(self) -> float:
@@ -270,6 +263,7 @@ def _metadata(cfg: ChainConfig, deterministic: bool) -> dict:
     'generated'."""
     meta = cfg.metadata()
     if not deterministic:
+        import datetime  # here, not at the top: start-up would pay for it on every run
         meta["generated"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return meta
 

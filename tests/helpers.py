@@ -16,6 +16,7 @@ from collections import deque
 from random import Random
 from typing import Iterator
 
+from sepfacets import conjectures
 from sepfacets.enumeration import CanonicalForm, _refine_colors
 from sepfacets.facets import _walk_two_colourings
 from sepfacets.formulas import _paths
@@ -542,3 +543,31 @@ def figure_csv(records, mode, cfg, deterministic=False) -> str:
 def records_jsonl(records, cfg, deterministic=False) -> str:
     """The whole of sampler.records_jsonl_lines as one string."""
     return "".join(records_jsonl_lines(records, cfg, deterministic))
+
+
+def reference_f_bounds(n: int) -> dict:
+    """check_f_bounds(n)'s report without elapsed_ms, from a dict of every
+    same-parity count of the sum.  Counts come from
+    conjectures.same_parity_count, so a monkeypatch there reaches both."""
+    rep = {"id": "fbounds", "params": {"n": n}, "status": "verified", "max": "0", "witnesses": []}
+    expected_arg = (n - 1, 1, 1) if n % 2 == 0 else (n - 3, 2, 2)
+    values = {t: conjectures.same_parity_count(t) for t in conjectures._same_parity_triples(n + 1)}
+    mx = max(values.values())
+    rep["max"] = str(mx)
+    if values.get(expected_arg) != mx:
+        rep["status"] = "counterexample"
+        rep["witnesses"] = [f"argmax {max(values, key=values.get)} beats {expected_arg}"]
+        return rep
+    rep["witnesses"] = [str(expected_arg)]
+    for (x1, x2, x3), v in values.items():
+        if x3 >= 3:
+            if v > values[(x1 + 2, x2, x3 - 2)]:
+                rep["status"] = "counterexample"
+                rep["witnesses"] = [f"F{(x1, x2, x3)} > F{(x1 + 2, x2, x3 - 2)}"]
+                return rep
+            if x2 - 2 >= x3 and v > values[(x1 + 2, x2 - 2, x3)]:
+                rep["status"] = "counterexample"
+                rep["witnesses"] = [f"F{(x1, x2, x3)} > F{(x1 + 2, x2 - 2, x3)}"]
+                return rep
+    rep["params"]["triples"] = len(values)
+    return rep

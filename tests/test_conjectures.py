@@ -1,10 +1,11 @@
+import ast
 import hashlib
 import json
 import math
 
 import pytest
 
-from helpers import parallel_paths_bound
+from helpers import parallel_paths_bound, reference_f_bounds
 from sepfacets import conjectures as cj
 from sepfacets.enumeration import GuardExceeded, canonical_form
 from sepfacets.facets import facet_count
@@ -79,6 +80,40 @@ def test_f_bounds_small():
     rep = cj.check_f_bounds(9)
     assert rep.status == "verified" and rep.max == "110"
     assert rep.witnesses == ["(6, 2, 2)"]
+
+
+def _fbounds_json(n: int) -> dict:
+    out = cj.check_f_bounds(n).to_json()
+    del out["elapsed_ms"]
+    return out
+
+
+def test_f_bounds_matches_the_whole_table_reference():
+    # the sweep holds two rows of x3; the reference holds every count
+    for n in range(4, 81):
+        assert _fbounds_json(n) == reference_f_bounds(n), n
+
+
+def test_f_bounds_reports_injected_violations_like_the_reference(monkeypatch):
+    # zeroing one count breaks the moves into it (or the argmax, at the
+    # expected argmax); inflating one makes it the argmax, which must win
+    # over the move it also breaks
+    real = cj.same_parity_count
+    kinds = set()
+    for n in (12, 13, 30, 31):
+        for target in list(cj._same_parity_triples(n + 1)):
+            for scale in (0, 10**9):
+                monkeypatch.setattr(cj, "same_parity_count",
+                                    lambda t: real(t) * (scale if t == target else 1))
+                got = _fbounds_json(n)
+                assert got == reference_f_bounds(n), (n, target, scale)
+                w = got["witnesses"][0]
+                if w.startswith("argmax"):
+                    kinds.add("argmax")
+                elif got["status"] == "counterexample":
+                    left, right = (ast.literal_eval(f[1:]) for f in w.split(" > "))
+                    kinds.add("same row" if left[2] == right[2] else "row below")
+    assert kinds == {"argmax", "row below", "same row"}
 
 
 def test_f_leq_m_small():

@@ -1,10 +1,13 @@
+import pickle
 from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from helpers import is_bipartite, reference_blocks, two_coloring
+from sepfacets.conjectures import ConjectureReport
 from sepfacets.enumeration import connected_graphs
+from sepfacets.formulas import FamilySpec
 from sepfacets.graph import (
     Graph,
     MultigraphError,
@@ -27,6 +30,7 @@ from sepfacets.graph import (
     wedge,
     windmill,
 )
+from sepfacets.sampler import ChainConfig, SampleRecord
 
 
 def test_graph_canonicalizes_edges():
@@ -275,3 +279,65 @@ def test_serialization_is_canonical(g):
     # re-serializing a parsed graph reproduces the bytes exactly
     text = serialize_graph(g)
     assert serialize_graph(parse_graph(text)) == text
+
+
+_C4 = Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+
+
+@pytest.mark.parametrize(
+    "make, names, fields, other, text",
+    [
+        (lambda: Graph(2, ((1, 0),)), "n edges", (2, ((0, 1),)), Graph(3, ((0, 1),)),
+         "Graph(n=2, edges=((0, 1),))"),
+        (lambda: FamilySpec("wedge-cycles", (3, 5), 2), "kind params tail",
+         ("wedge-cycles", (3, 5), 2), FamilySpec("wedge-cycles", (3, 5)),
+         "FamilySpec(kind='wedge-cycles', params=(3, 5), tail=2)"),
+        (lambda: ChainConfig(4, 4, 10, 2, 2, 7, _C4), "n e steps burn_in thin seed initial",
+         (4, 4, 10, 2, 2, 7, _C4), ChainConfig(4, 4, 10, 2, 2, 8, _C4),
+         "ChainConfig(n=4, e=4, steps=10, burn_in=2, thin=2, seed=7, "
+         "initial=Graph(n=4, edges=((0, 1), (0, 3), (1, 2), (2, 3))))"),
+        (lambda: SampleRecord(3, 6, Graph(3, ((0, 1), (1, 2)))), "step count graph",
+         (3, 6, path(2)), SampleRecord(4, 6, path(2)),
+         "SampleRecord(step=3, count=6, graph=Graph(n=3, edges=((0, 1), (1, 2))))"),
+    ],
+    ids=["Graph", "FamilySpec", "ChainConfig", "SampleRecord"],
+)
+def test_value_classes_keep_frozen_dataclass_semantics(make, names, fields, other, text):
+    # equal by fields within one class only, hashed as the field tuple,
+    # shown as name=value in field order, read-only, and picklable
+    a, b = make(), make()
+    assert a == b and a is not b and hash(a) == hash(b) == hash(fields)
+    assert a != other and a != fields
+    assert repr(a) == text
+    for name in names.split():
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert tuple(getattr(a, name) for name in names.split()) == fields
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_conjecture_report_is_mutable_and_json_copies_it():
+    rep = ConjectureReport("fbounds", {"n": 8}, "verified", "70", ["(7, 1, 1)"])
+    assert rep == ConjectureReport("fbounds", {"n": 8}, "verified", "70", ["(7, 1, 1)"])
+    assert rep != ConjectureReport("fbounds", {"n": 8}, "verified", "70")
+    with pytest.raises(TypeError):
+        hash(rep)
+    assert repr(rep) == ("ConjectureReport(id='fbounds', params={'n': 8}, status='verified', "
+                         "max='70', witnesses=['(7, 1, 1)'], elapsed_ms=0)")
+    out = rep.to_json()
+    assert list(out) == ["id", "params", "status", "max", "witnesses", "elapsed_ms"]
+    assert out == {"id": "fbounds", "params": {"n": 8}, "status": "verified", "max": "70",
+                   "witnesses": ["(7, 1, 1)"], "elapsed_ms": 0}
+    out["params"]["n"] = 9
+    out["witnesses"].append("x")
+    assert rep.params == {"n": 8} and rep.witnesses == ["(7, 1, 1)"]
+    rep.status, rep.elapsed_ms = "counterexample", 5
+    assert rep.to_json()["status"] == "counterexample" and rep.to_json()["elapsed_ms"] == 5
+    # each report gets its own witness list
+    fresh = ConjectureReport("nn1", {}, "verified", "0")
+    fresh.witnesses.append("w")
+    assert ConjectureReport("nn1", {}, "verified", "0").witnesses == []

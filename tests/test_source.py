@@ -1,6 +1,9 @@
 """Rules about the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -49,3 +52,18 @@ def test_readme_quick_start_runs():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert exported == imported
+
+
+def test_package_import_loads_no_heavy_stdlib_modules():
+    # every run, and every benchmark probe, pays for importing the package
+    # before any work: dataclasses alone pulls in inspect, ast, dis and
+    # tokenize, and datetime and typing are needed by no hot path.  -S keeps
+    # site and its .pth hooks out of the child.
+    modules = sorted(f"sepfacets.{p.stem}" for p in SRC.glob("*.py") if p.stem != "__init__")
+    heavy = ["dataclasses", "inspect", "datetime", "typing"]
+    code = (f"import sys\nfor m in {modules!r}: __import__(m)\n"
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
