@@ -72,13 +72,11 @@ def _build_parser() -> _Parser:
     f = sub.add_parser("formula", help="closed-form family count")
     f.add_argument("family", help="family name, e.g. cycle, theta, windmill")
     f.add_argument("params", nargs="+", type=int, help="family parameters")
-    f.add_argument("--tail", type=int, default=0, help="trailing pendant edges (wedge-cycles)")
 
     v = sub.add_parser("verify", help="run a verification sweep")
     v.add_argument("check", choices=list(CHECKS))
     v.add_argument("--n", type=int, help="first (or only) parameter value")
     v.add_argument("--max-n", type=int, help="sweep up to this value inclusive")
-    v.add_argument("--skip-leaves", action="store_true", help="nn1: skip classes with a leaf")
     v.add_argument("--bound-only", action="store_true", help="mixed-cb: maximizer-vs-bound scan only")
     v.add_argument("--samples", type=int, default=200, help="windmill sampling size beyond the guard")
     v.add_argument("--seed", type=int, default=2022, help="windmill sampling seed")
@@ -125,9 +123,17 @@ def _per_n(check, stride=1):
 def _mixed_cb(args, guard):
     if not args.bound_only:
         return _per_n(lambda n, a, guard: conjectures.check_mixed_cb(n))(args, guard)
+    if args.n is not None:
+        raise ValueError("--n does not apply to mixed-cb --bound-only, which starts at n = 10")
     if args.max_n is None:
         raise ValueError("--max-n is required for --bound-only")
     return [conjectures.check_cb_maximizer_bound(args.max_n)]
+
+
+def _identities(args, guard):
+    if args.n is not None:
+        raise ValueError("--n does not apply to identities; --max-n sets its k_max")
+    return [conjectures.check_identities(args.max_n if args.max_n is not None else 10000)]
 
 
 # check name -> runner(args, guard) returning the reports; every runner
@@ -138,11 +144,7 @@ CHECKS = {
     "fbounds": _per_n(lambda n, a, guard: conjectures.check_f_bounds(n)),
     "f-leq-m": _per_n(lambda n, a, guard: conjectures.check_general_f_leq_m(n)),
     "mixed-cb": _mixed_cb,
-    "nn1": _per_n(
-        lambda n, a, guard: conjectures.check_nn1_exhaustive(
-            n, guard=guard, skip_leaves=a.skip_leaves
-        )
-    ),
+    "nn1": _per_n(lambda n, a, guard: conjectures.check_nn1_exhaustive(n, guard=guard)),
     # windmill classes exist only at odd n, so an odd --n walks n, n+2, ...
     # and an even --n fails on its first check
     "windmill": _per_n(
@@ -151,9 +153,7 @@ CHECKS = {
         ),
         stride=2,
     ),
-    "identities": lambda a, guard: [
-        conjectures.check_identities(a.max_n if a.max_n is not None else 10000)
-    ],
+    "identities": _identities,
 }
 
 
@@ -161,9 +161,7 @@ def _run_verify(args) -> int:
     reports = CHECKS[args.check](args, _effective_guard())
     for rep in reports:
         print(json.dumps(rep.to_json(), sort_keys=True))
-    if any(r.status == "counterexample" for r in reports):
-        return 2
-    return 0
+    return 2 if any(r.status == "counterexample" for r in reports) else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -177,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
             print(decimal(facet_count(g)))
             return 0
         if args.command == "formula":
-            spec = FamilySpec(args.family, tuple(args.params), args.tail)
+            spec = FamilySpec(args.family, tuple(args.params))
             print(decimal(spec.count()))
             return 0
         if args.command == "verify":

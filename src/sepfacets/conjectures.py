@@ -71,12 +71,12 @@ def _refuse_table(what: str, bits: int) -> None:
         raise GuardExceeded(f"{what} would tabulate {bits >> 23} MiB of big integers (cap {cap} MiB)")
 
 
-def _exhaustive_max(rep: ConjectureReport, n: int, e: int, keep=None):
-    """Count every connected (n, e) class that keep (default: all) admits,
-    cross-check each count against its closed form where one applies, and
-    record the maximum and every class attaining it (the winners, also
-    returned with the maximum) on rep."""
-    classes = [g for g in connected_graphs(n, e, guard=None) if keep is None or keep(g)]
+def _exhaustive_max(rep: ConjectureReport, n: int, e: int):
+    """Count every connected (n, e) class, cross-check each count against
+    its closed form where one applies, and record the maximum and every
+    class attaining it (the winners, also returned with the maximum) on
+    rep."""
+    classes = list(connected_graphs(n, e, guard=None))
     if not classes:
         raise ValueError(f"no connected graphs with n={n}, e={e}")
     counts = [facet_count(g) for g in classes]
@@ -230,25 +230,16 @@ def check_disjoint_cycle_bound(n: int) -> ConjectureReport:
     return _finish(rep, t0)
 
 
-def check_nn1_exhaustive(
-    n: int, guard: int = DEFAULT_GUARD, skip_leaves: bool = False
-) -> ConjectureReport:
+def check_nn1_exhaustive(n: int, guard: int = DEFAULT_GUARD) -> ConjectureReport:
     """Exhaustively verify that no connected (n, n+1)-graph beats
-    double_cycle_max(n).
-
-    skip_leaves drops classes with a degree-1 vertex; that shortcut is only
-    sound once the (n-1)-vertex sweep has passed (removing a pendant edge
-    halves the count), so the default checks every class.
-    """
+    double_cycle_max(n), and that some class attains it."""
     t0 = time.perf_counter()
     if n > guard:
         raise GuardExceeded(f"exhaustive sweep at n={n} exceeds the guard ({guard})")
     bound = double_cycle_max(n)
-    rep = ConjectureReport("nn1", {"n": n, "skip_leaves": skip_leaves}, "verified", "0")
-    keep = (lambda g: min(g.degree(v) for v in range(g.n)) >= 2) if skip_leaves else None
-    mx, _ = _exhaustive_max(rep, n, n + 1, keep)
-    rep.params["bound"] = decimal(bound)
-    if mx > bound or (not skip_leaves and mx != bound):
+    rep = ConjectureReport("nn1", {"n": n, "bound": decimal(bound)}, "verified", "0")
+    mx, _ = _exhaustive_max(rep, n, n + 1)
+    if mx != bound:
         rep.status = "counterexample" if mx > bound else "partial"
     return _finish(rep, t0)
 

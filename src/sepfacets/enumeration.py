@@ -25,13 +25,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .graph import Graph, adjacency
+from .graph import Graph, GuardExceeded, adjacency
 
 DEFAULT_GUARD = 8  # largest n enumerated or swept exhaustively by default
-
-
-class GuardExceeded(RuntimeError):
-    """A desk-scale resource guard refused the request (CLI exit code 3)."""
 
 
 CanonicalForm = tuple[int, tuple[int, ...]]

@@ -16,10 +16,10 @@ from decimal import Decimal
 from itertools import accumulate
 from operator import add, mul
 
-from .enumeration import GuardExceeded
 from .graph import (
     Frozen,
     Graph,
+    GuardExceeded,
     MultigraphError,
     biconnected_blocks,
     cycle,
@@ -330,7 +330,7 @@ def closed_form_count(g: Graph) -> int | None:
 def _tree(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"tree needs >= 1 vertex, got {n}")
-    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+    return path(n - 1) if n > 1 else Graph(1, ())
 
 
 def _wedge_cycles(*lengths: int) -> Graph:
@@ -354,7 +354,7 @@ _FAMILIES = {
               lambda *m: parallel_paths_count(m), lambda *m: parallel_paths(m)),
     "theta": (2, lambda m, t: 2 + abs(t * (m - 1)), theta_count, theta),  # m, t
     "windmill": (2, lambda n, r: n, windmill_count, windmill),  # n, r
-    # cycle lengths (>= 2 each), plus optional tail edges
+    # cycle lengths (>= 2 each); a length of 2 is a pendant edge (factor 2, one vertex)
     "wedge-cycles": (None, lambda *c: 1 + sum(abs(x - 1) for x in c),
                      lambda *c: math.prod(map(cycle_count, c)), _wedge_cycles),
     "max-bicyclic": (1, lambda n: n, double_cycle_max, None),  # n
@@ -373,11 +373,10 @@ class FamilySpec(Frozen):
     """A named graph family instance: a formula evaluation and, when the
     parameters describe a simple graph, a concrete Graph to build."""
 
-    __slots__ = ("kind", "params", "tail")
+    __slots__ = ("kind", "params")
 
-    # tail: trailing pendant edges, wedge-cycles only
-    def __init__(self, kind: str, params: tuple[int, ...], tail: int = 0):
-        super().__init__(kind, params, tail)
+    def __init__(self, kind: str, params: tuple[int, ...]):
+        super().__init__(kind, params)
         if self.kind not in _FAMILIES:
             raise ValueError(
                 f"unknown family {self.kind!r}; choose from {sorted(_FAMILIES)}"
@@ -389,24 +388,19 @@ class FamilySpec(Frozen):
             )
         if not self.params:
             raise ValueError(f"family {self.kind!r} needs parameters")
-        if self.tail < 0:
-            raise ValueError("tail edge count must be nonnegative")
-        if self.tail and self.kind != "wedge-cycles":
-            raise ValueError("tail edges only apply to wedge-cycles")
-        vertices = _FAMILIES[self.kind][1](*self.params) + self.tail
+        vertices = _FAMILIES[self.kind][1](*self.params)
         if vertices > MAX_FAMILY_VERTICES:
             raise GuardExceeded(f"family {self.kind!r} member has {vertices} vertices "
                                 f"(cap {MAX_FAMILY_VERTICES})")
 
     def count(self) -> int:
-        return _FAMILIES[self.kind][2](*self.params) << self.tail
+        return _FAMILIES[self.kind][2](*self.params)
 
     def graph(self) -> Graph:
         build = _FAMILIES[self.kind][3]
         if build is None:
             raise ValueError(f"family {self.kind!r} is formula-only")
-        g = build(*self.params)
-        return wedge(g, path(self.tail), 0, 0) if self.tail else g
+        return build(*self.params)
 
     @classmethod
     def parse(cls, tokens: list[str]) -> "FamilySpec":

@@ -58,6 +58,10 @@ class Frozen(Fields):
         return type(self), self._values
 
 
+class GuardExceeded(RuntimeError):
+    """A desk-scale resource guard refused the request (CLI exit code 3)."""
+
+
 class MultigraphError(ValueError):
     """A requested construction would need parallel edges."""
 
@@ -98,9 +102,6 @@ class Graph(Frozen):
     def m(self) -> int:
         """Edge count."""
         return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        return sum(1 for a, b in self.edges if v in (a, b))
 
 
 def adjacency(g: Graph) -> list[list[int]]:

@@ -26,8 +26,7 @@ from itertools import chain
 from random import Random
 
 from .facets import facet_count
-from .enumeration import GuardExceeded
-from .graph import Frozen, Graph, adjacency, cycle, graph_to_json, is_connected
+from .graph import Frozen, Graph, GuardExceeded, adjacency, cycle, graph_to_json, is_connected, path
 
 RNG_ID = "python-random-mt19937"
 
@@ -123,7 +122,7 @@ def default_initial(n: int, e: int) -> Graph:
     """Deterministic starting state: a cycle plus the lexicographically
     smallest chords (a path when e = n - 1 leaves no room for a cycle)."""
     if e == n - 1:
-        return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+        return path(n - 1)
     ring = set(cycle(n).edges)
     chords = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in ring]
     return Graph(n, tuple(ring) + tuple(chords[: e - n]))

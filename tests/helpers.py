@@ -287,6 +287,10 @@ def is_bipartite(g: Graph) -> bool:
     return two_coloring(g) is not None
 
 
+def degree(g: Graph, v: int) -> int:
+    return sum(1 for a, b in g.edges if v in (a, b))
+
+
 def _pairs(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
@@ -519,7 +523,7 @@ def reference_last_element(h: Graph, new: tuple[int, int]) -> bool:
     s w sums the degrees of w's neighbors.  In a tree (the new leaf is
     new[1]) no leaf edge may have a larger key than `new`.  Otherwise no
     edge whose deletion leaves h connected may have a larger key."""
-    deg = [h.degree(v) for v in range(h.n)]
+    deg = [degree(h, v) for v in range(h.n)]
     s = [0] * h.n
     for x, y in h.edges:
         s[x] += deg[y]

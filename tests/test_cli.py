@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from sepfacets import conjectures
 from sepfacets.cli import main
 from sepfacets.graph import serialize_graph, windmill
 
@@ -81,7 +82,7 @@ def test_formula_commands(capsys):
     assert capsys.readouterr().out.strip() == "216"
     assert main(["formula", "max-bicyclic", "7"]) == 0
     assert capsys.readouterr().out.strip() == "180"
-    assert main(["formula", "wedge-cycles", "5", "3", "--tail", "1"]) == 0
+    assert main(["formula", "wedge-cycles", "5", "3", "2"]) == 0
     assert capsys.readouterr().out.strip() == "360"
     assert main(["formula", "paths", "3", "3", "2"]) == 0
     assert capsys.readouterr().out.strip() == "126"
@@ -159,6 +160,28 @@ def test_verify_empty_range_is_an_error(capsys, argv, flag):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert flag in captured.err
+
+
+def _no_sweep(k):
+    raise AssertionError("the sweep ran")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "identities", "--n", "5"],
+        ["verify", "mixed-cb", "--bound-only", "--n", "50", "--max-n", "60"],
+    ],
+    ids=["identities", "mixed-cb-bound-only"],
+)
+def test_verify_modes_without_n_refuse_it(monkeypatch, capsys, argv):
+    # these sweeps read only --max-n, so an --n would be silently ignored
+    for name in ("check_identities", "check_cb_maximizer_bound"):
+        monkeypatch.setattr(conjectures, name, _no_sweep)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "--n" in captured.err
 
 
 def test_verify_identities(capsys):
@@ -398,7 +421,7 @@ def test_count_family_at_the_cap_matches_formula(family):
         ["formula", "tree", "1000000000000000000000"],
         ["formula", "theta", "3", "1000000000"],
         ["formula", "paths", "100001", "2"],
-        ["formula", "wedge-cycles", "5", "3", "--tail", "100000"],
+        ["formula", "wedge-cycles", "5", "3", "100000"],
         ["count", "--family", "wedge-cycles", "100000000000", "-100000000000"],
     ],
 )

@@ -348,13 +348,14 @@ def test_nn1_exhaustive_small():
             assert facet_count(parse_graph(w)) == want
 
 
-def test_nn1_leaf_shortcut_agrees():
-    full = cj.check_nn1_exhaustive(6)
-    short = cj.check_nn1_exhaustive(6, skip_leaves=True)
-    assert short.status == "verified"
-    assert short.max == full.max
-    # leafless maximizers are a subset of all maximizers
-    assert set(short.witnesses) <= set(full.witnesses)
+@pytest.mark.parametrize("shift, status", [(-1, "counterexample"), (1, "partial")])
+def test_nn1_reports_a_maximum_off_the_bound(monkeypatch, shift, status):
+    # a class above the bound refutes it; a bound that no class reaches
+    # leaves the conjecture's tightness unshown
+    monkeypatch.setattr(cj, "double_cycle_max", lambda n: double_cycle_max(n) + shift)
+    rep = cj.check_nn1_exhaustive(6)
+    assert rep.status == status
+    assert rep.max == "72" and rep.params["bound"] == str(72 + shift)
 
 
 def test_nn1_guard():

@@ -38,6 +38,7 @@ from sepfacets.graph import (
     wedge,
     windmill,
 )
+from sepfacets.sampler import default_initial
 
 
 def test_binom_conventions():
@@ -477,7 +478,7 @@ def test_family_spec_counts():
     assert FamilySpec.parse(["cycle-path", "7", "5"]).count() == 120
     assert FamilySpec.parse(["tree", "6"]).count() == 32
     assert FamilySpec.parse(["max-bicyclic", "8"]).count() == 360
-    assert FamilySpec("wedge-cycles", (5, 3), tail=1).count() == 360
+    assert FamilySpec("wedge-cycles", (5, 3, 2)).count() == 360
     assert FamilySpec("wedge-cycles", (2, 4)).count() == 12
 
 
@@ -493,8 +494,26 @@ def test_family_spec_graphs_agree_with_counts():
     ]:
         spec = FamilySpec.parse(tokens)
         assert facet_count(spec.graph()) == spec.count()
-    spec = FamilySpec("wedge-cycles", (5, 3), tail=1)
+    spec = FamilySpec("wedge-cycles", (5, 3, 4))
     assert facet_count(spec.graph()) == spec.count()
+
+
+def test_a_length_of_two_counts_as_a_pendant_edge():
+    # the formula takes pendant edges as cycle lengths of 2: each doubles
+    # the count and adds one vertex, as a pendant edge does
+    for lengths, tail in [((5, 3), 1), ((7, 3), 4), ((4,), 2)]:
+        g = wedge(FamilySpec("wedge-cycles", lengths).graph(), path(tail), 0, 0)
+        spec = FamilySpec("wedge-cycles", lengths + (2,) * tail)
+        assert facet_count(g) == spec.count() == FamilySpec("wedge-cycles", lengths).count() << tail
+        assert g.n == 1 + sum(c - 1 for c in spec.params)
+    assert FamilySpec("wedge-cycles", (7, 3, 2, 2, 2, 2)).count() == 13440
+
+
+def test_paths_come_from_one_builder():
+    # the tree family and the chain's start at e = n - 1 are path(n - 1)
+    assert FamilySpec("tree", (1,)).graph() == Graph(1, ())
+    assert FamilySpec("tree", (6,)).graph() == path(5) == default_initial(6, 5)
+    assert path(5).edges == tuple((i, i + 1) for i in range(5))
 
 
 def test_family_spec_errors():

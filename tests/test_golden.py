@@ -51,7 +51,7 @@ def test_enumerate_6_7(tmp_path):
 
 FORMULA = [
     "cycle 7", "tree 9", "cycle-path 9 5", "two-cycles 9 5 5", "paths 7 4 3 2",
-    "theta 5 4", "windmill 13 6", "wedge-cycles 5 3 --tail 1", "wedge-cycles 2 4",
+    "theta 5 4", "windmill 13 6", "wedge-cycles 5 3 2", "wedge-cycles 2 4",
     "max-bicyclic 1001",
 ]
 COUNT_FAMILY = [
@@ -59,7 +59,7 @@ COUNT_FAMILY = [
     "theta 4 3", "windmill 9 4", "wedge-cycles 5 3 4",
 ]
 VERIFY = [
-    "nnmax --n 3 --max-n 7", "nnmax --n 9", "nn1 --n 5 --max-n 7", "nn1 --n 6 --skip-leaves",
+    "nnmax --n 3 --max-n 7", "nnmax --n 9", "nn1 --n 5 --max-n 7",
     "windmill --n 5 --max-n 7", "windmill --n 5", "windmill --n 7",
     "windmill --n 9 --samples 20 --seed 7", "disjoint --n 5 --max-n 12",
     "fbounds --n 4 --max-n 30", "f-leq-m --n 4 --max-n 30", "mixed-cb --n 10 --max-n 30",

@@ -4,7 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import is_bipartite, reference_blocks, two_coloring
+from helpers import degree, is_bipartite, reference_blocks, two_coloring
 from sepfacets.conjectures import ConjectureReport
 from sepfacets.enumeration import connected_graphs
 from sepfacets.formulas import FamilySpec
@@ -54,7 +54,7 @@ def test_cycle_shapes():
     assert tri.edges == ((0, 1), (0, 2), (1, 2))
     c5 = cycle(5)
     assert c5.n == c5.m == 5
-    assert all(c5.degree(v) == 2 for v in range(5))
+    assert all(degree(c5, v) == 2 for v in range(5))
     assert is_connected(c5)
     assert not is_bipartite(c5)
     assert is_bipartite(cycle(4))
@@ -122,7 +122,7 @@ def test_double_cycle():
 def test_parallel_paths_bookkeeping():
     g = parallel_paths([4, 2, 2])
     assert g.n == 7 and g.m == 8
-    hubs = [v for v in range(g.n) if g.degree(v) == 3]
+    hubs = [v for v in range(g.n) if degree(g, v) == 3]
     assert sorted(hubs) == [0, 1]
     k23 = parallel_paths([2, 2, 2])
     assert k23.n == 5 and k23.m == 6
@@ -146,11 +146,11 @@ def test_theta_equals_parallel_paths():
 def test_windmill_shapes():
     g = windmill(7, 2)
     assert g.n == 7 and g.m == 8
-    assert g.degree(0) == 6
+    assert degree(g, 0) == 6
     full = windmill(7, 3)
     assert full.m == 9
     star = windmill(5, 0)
-    assert star.m == 4 and star.degree(0) == 4
+    assert star.m == 4 and degree(star, 0) == 4
     with pytest.raises(ValueError):
         windmill(7, 4)
 
@@ -289,9 +289,9 @@ _C4 = Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
     [
         (lambda: Graph(2, ((1, 0),)), "n edges", (2, ((0, 1),)), Graph(3, ((0, 1),)),
          "Graph(n=2, edges=((0, 1),))"),
-        (lambda: FamilySpec("wedge-cycles", (3, 5), 2), "kind params tail",
-         ("wedge-cycles", (3, 5), 2), FamilySpec("wedge-cycles", (3, 5)),
-         "FamilySpec(kind='wedge-cycles', params=(3, 5), tail=2)"),
+        (lambda: FamilySpec("wedge-cycles", (3, 5, 2)), "kind params",
+         ("wedge-cycles", (3, 5, 2)), FamilySpec("wedge-cycles", (3, 5)),
+         "FamilySpec(kind='wedge-cycles', params=(3, 5, 2))"),
         (lambda: ChainConfig(4, 4, 10, 2, 2, 7, _C4), "n e steps burn_in thin seed initial",
          (4, 4, 10, 2, 2, 7, _C4), ChainConfig(4, 4, 10, 2, 2, 8, _C4),
          "ChainConfig(n=4, e=4, steps=10, burn_in=2, thin=2, seed=7, "

@@ -11,6 +11,15 @@ checkout.  With --against it also prints, per workload and
 metric, the previous value, the new one and their ratio.  Compare only
 snapshots taken on the same machine class: bench/run.py normalises for
 load on one host, not across hosts.
+
+A snapshot is one run per workload, and a diff compares two runs taken
+at different times.  The drift between such runs exceeds the effects a
+change usually has: `setup_s` alone spreads about 12% (IQR) between runs
+of the same code, and the traced layers of unchanged code have read
+about x1.3 apart between two snapshots.  So a diff shows a trajectory,
+not a gain.  To claim a gain, run bench/run.py on the old and the new
+tree in alternating pairs on one host and compare the medians against
+the spread of the old tree's runs.
 """
 
 from __future__ import annotations
