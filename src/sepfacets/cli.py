@@ -26,7 +26,6 @@ GUARD_ENV = "SEP_FACETS_GUARD"
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
@@ -74,12 +73,16 @@ def _build_parser() -> _Parser:
     f.add_argument("params", nargs="+", type=int, help="family parameters")
 
     v = sub.add_parser("verify", help="run a verification sweep")
-    v.add_argument("check", choices=list(CHECKS))
-    v.add_argument("--n", type=int, help="first (or only) parameter value")
-    v.add_argument("--max-n", type=int, help="sweep up to this value inclusive")
-    v.add_argument("--bound-only", action="store_true", help="mixed-cb: maximizer-vs-bound scan only")
-    v.add_argument("--samples", type=int, default=200, help="windmill sampling size beyond the guard")
-    v.add_argument("--seed", type=int, default=2022, help="windmill sampling seed")
+    checks = v.add_subparsers(dest="check", required=True, parser_class=_Parser)
+    for name in PER_N:
+        c = checks.add_parser(name)
+        c.add_argument("--n", type=int, required=True, help="first (or only) parameter value")
+        c.add_argument("--max-n", type=int, help="sweep up to this value inclusive")
+        if name == "windmill":
+            c.add_argument("--samples", type=int, default=200, help="sampling size beyond the guard")
+            c.add_argument("--seed", type=int, default=2022, help="sampling seed beyond the guard")
+    checks.add_parser("cb-bound").add_argument("--max-n", type=int, required=True, help="scan n = 10..max-n")
+    checks.add_parser("identities").add_argument("--max-n", type=int, default=10000, help="k_max")
 
     s = sub.add_parser("sample", help="run a seeded sampling chain")
     s.add_argument("--n", type=int, required=True)
@@ -89,8 +92,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--thin", type=int, default=None)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--format", choices=["csv", "jsonl"], default="csv")
-    s.add_argument("--mode", choices=["scatter", "histogram"], default="scatter")
+    s.add_argument("--format", choices=["scatter", "histogram", "jsonl"], default="scatter")
     s.add_argument("--initial", metavar="FILE", help="starting graph (edge-list or JSON)")
     s.add_argument(
         "--deterministic",
@@ -105,60 +107,33 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _per_n(check, stride=1):
-    """Runner calling check(n, args, guard) for n = --n, --n + stride, ...
-    up to --max-n."""
-
-    def run(args, guard):
-        if args.n is None:
-            raise ValueError(f"--n is required for {args.check}")
-        last = args.max_n if args.max_n is not None else args.n
-        if last < args.n:
-            raise ValueError(f"--max-n ({last}) is below --n ({args.n})")
-        return [check(n, args, guard) for n in range(args.n, last + 1, stride)]
-
-    return run
-
-
-def _mixed_cb(args, guard):
-    if not args.bound_only:
-        return _per_n(lambda n, a, guard: conjectures.check_mixed_cb(n))(args, guard)
-    if args.n is not None:
-        raise ValueError("--n does not apply to mixed-cb --bound-only, which starts at n = 10")
-    if args.max_n is None:
-        raise ValueError("--max-n is required for --bound-only")
-    return [conjectures.check_cb_maximizer_bound(args.max_n)]
-
-
-def _identities(args, guard):
-    if args.n is not None:
-        raise ValueError("--n does not apply to identities; --max-n sets its k_max")
-    return [conjectures.check_identities(args.max_n if args.max_n is not None else 10000)]
-
-
-# check name -> runner(args, guard) returning the reports; every runner
-# looks its conjectures.check_* up at call time
-CHECKS = {
-    "nnmax": _per_n(lambda n, a, guard: conjectures.check_nn_max(n, guard=guard)),
-    "disjoint": _per_n(lambda n, a, guard: conjectures.check_disjoint_cycle_bound(n)),
-    "fbounds": _per_n(lambda n, a, guard: conjectures.check_f_bounds(n)),
-    "f-leq-m": _per_n(lambda n, a, guard: conjectures.check_general_f_leq_m(n)),
-    "mixed-cb": _mixed_cb,
-    "nn1": _per_n(lambda n, a, guard: conjectures.check_nn1_exhaustive(n, guard=guard)),
-    # windmill classes exist only at odd n, so an odd --n walks n, n+2, ...
-    # and an even --n fails on its first check
-    "windmill": _per_n(
-        lambda n, a, guard: conjectures.check_windmill(
-            n, guard=guard, samples=a.samples, seed=a.seed
-        ),
-        stride=2,
-    ),
-    "identities": _identities,
+# per-n check name -> check(n, args, guard); each looks its conjectures.check_*
+# up at call time
+PER_N = {
+    "nnmax": lambda n, a, guard: conjectures.check_nn_max(n, guard=guard),
+    "disjoint": lambda n, a, guard: conjectures.check_disjoint_cycle_bound(n),
+    "fbounds": lambda n, a, guard: conjectures.check_f_bounds(n),
+    "f-leq-m": lambda n, a, guard: conjectures.check_general_f_leq_m(n),
+    "mixed-cb": lambda n, a, guard: conjectures.check_mixed_cb(n),
+    "nn1": lambda n, a, guard: conjectures.check_nn1_exhaustive(n, guard=guard),
+    "windmill": lambda n, a, guard: conjectures.check_windmill(n, guard=guard, samples=a.samples, seed=a.seed),
 }
 
 
 def _run_verify(args) -> int:
-    reports = CHECKS[args.check](args, _effective_guard())
+    guard = _effective_guard()
+    if args.check == "cb-bound":
+        reports = [conjectures.check_cb_maximizer_bound(args.max_n)]
+    elif args.check == "identities":
+        reports = [conjectures.check_identities(args.max_n)]
+    else:
+        last = args.n if args.max_n is None else args.max_n
+        if last < args.n:
+            raise ValueError(f"--max-n ({last}) is below --n ({args.n})")
+        # windmill classes exist only at odd n, so an odd --n walks n, n+2,
+        # ... and an even --n fails on its first check
+        step = 2 if args.check == "windmill" else 1
+        reports = [PER_N[args.check](n, args, guard) for n in range(args.n, last + 1, step)]
     for rep in reports:
         print(json.dumps(rep.to_json(), sort_keys=True))
     return 2 if any(r.status == "counterexample" for r in reports) else 0
@@ -191,10 +166,10 @@ def main(argv: list[str] | None = None) -> int:
                 thin=args.thin,
                 initial=initial,
             )
-            if args.format == "csv":
-                lines = figure_csv_lines(run_chain(cfg), args.mode, cfg, args.deterministic)
-            else:
+            if args.format == "jsonl":
                 lines = records_jsonl_lines(run_chain(cfg), cfg, args.deterministic)
+            else:
+                lines = figure_csv_lines(run_chain(cfg), args.format, cfg, args.deterministic)
             with open(args.out, "w") as out:  # each line goes out as its record arrives
                 out.writelines(lines)
             return 0

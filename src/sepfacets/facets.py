@@ -46,10 +46,15 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
+from itertools import accumulate
 from operator import add, mul
 
 from .formulas import _binom_slice, cycle_count
-from .graph import Graph, adjacency, bfs_order, biconnected_blocks
+from .graph import Graph, GuardExceeded, adjacency, bfs_order, biconnected_blocks
+
+# facet_count raises GuardExceeded once one DP step holds more states than
+# this; with the step before, that is about 1 GB (figures in README)
+MAX_FRONTIER_STATES = 2_000_000
 
 
 def _walk_facet_labelings(g: Graph, on_leaf) -> None:
@@ -67,8 +72,10 @@ def _walk_facet_labelings(g: Graph, on_leaf) -> None:
     would reject; it never changes the enumerated set.
     """
     n = g.n
-    if g.m < max(n - 1, 1):  # fewer edges cannot connect; before any allocation
-        raise ValueError("facet counting needs a connected graph with >= 1 edge")
+    if g.m < n - 1 or not n:  # fewer edges cannot connect; before any allocation
+        raise ValueError("facet counting needs a connected graph with >= 1 vertex")
+    if n == 1:  # one vertex, one labeling
+        return on_leaf([0])
     adj = adjacency(g)
     order = bfs_order(adj)
     if len(order) != n:
@@ -123,6 +130,17 @@ def facet_functions(g: Graph) -> list[tuple[int, ...]]:
     if any(max(f) > g.n - 1 for f in out):
         raise RuntimeError("facet labeling spans more than n - 1; the walk is broken")
     return out
+
+
+def _order_width(adj: list[list[int]], order: list[int]) -> int:
+    """Most vertices on the frontier at once along order: placed, with a
+    neighbor still to come."""
+    pos = {v: i for i, v in enumerate(order)}
+    steps = [0] * len(order)
+    for v, i in pos.items():  # on from i until its last neighbor is placed
+        steps[i] += 1
+        steps[max(i, *[pos[u] for u in adj[v]])] -= 1
+    return max(accumulate(steps))
 
 
 def _frontier_order(adj: list[list[int]]) -> list[int]:
@@ -299,10 +317,11 @@ def facet_count(g: Graph) -> int:
     two components, or split[d], keeping them apart.  A plain edge never
     offers both.  A component with no member left on the frontier can never
     grow again, so the state dies unless that was the last vertex; at the
-    last vertex only the labelings that leave one component count.
+    last vertex only the labelings that leave one component count.  A step
+    that passes MAX_FRONTIER_STATES states raises GuardExceeded.
     """
-    if g.m < max(g.n - 1, 1):  # fewer edges cannot connect; before any allocation
-        raise ValueError("facet counting needs a connected graph with >= 1 edge")
+    if g.m < g.n - 1 or not g.n:  # fewer edges cannot connect; before any allocation
+        raise ValueError("facet counting needs a connected graph with >= 1 vertex")
     factor, nb = _fold(g)
     core = [v for v in range(g.n) if nb[v] is not None]
     if len(core) == 1:
@@ -373,6 +392,9 @@ def facet_count(g: Graph) -> int:
                         m = min(labs)
                         key = (tuple([l - m for l in labs]) if m else tuple(labs), hit[0])
                         new[key] = new.get(key, 0) + w
+            if len(new) > MAX_FRONTIER_STATES:  # once per source state, off the per-label path
+                raise GuardExceeded(f"frontier count of a {n}-vertex core at order width "
+                                    f"{_order_width(adj, order)} passed {MAX_FRONTIER_STATES} states")
         frontier = [frontier[p] for p in kept] + ([v] if stays else [])
         states = new
     return factor * total
@@ -600,8 +622,8 @@ def facet_count_via_subgraphs(g: Graph) -> int:
     other block, relabelled to 0..k-1.  Labelings of the blocks glue
     uniquely, up to a shift, at the cut vertices.  The block split raises
     if g is disconnected.  Always equals facet_count(g)."""
-    if g.m < max(g.n - 1, 1):  # fewer edges cannot connect; before any allocation
-        raise ValueError("facet counting needs a connected graph with >= 1 edge")
+    if g.m < g.n - 1 or not g.n:  # fewer edges cannot connect; before any allocation
+        raise ValueError("facet counting needs a connected graph with >= 1 vertex")
     total = 1
     for block in biconnected_blocks(g):
         if len(block) == 1:

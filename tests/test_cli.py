@@ -77,6 +77,36 @@ def test_count_huge_vertex_count_with_one_edge(tmp_path, capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and "connected" in err
 
 
+def test_frontier_state_cap_exits_three(tmp_path, capsys, monkeypatch):
+    # a 6x6 grid folds its four corners into a 32-vertex core; its DP is
+    # refused once one step holds more states than the cap
+    from sepfacets import facets
+
+    k = 6
+    edges = [(v, v + 1) for v in range(k * k) if v % k < k - 1] + [(v, v + k) for v in range(k * k - k)]
+    f = tmp_path / "grid.txt"
+    f.write_text(f"{k * k}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    real, orders = facets._frontier_order, []
+
+    def frontier_order(adj):
+        orders.append((adj, real(adj)))
+        return orders[-1][1]
+
+    monkeypatch.setattr(facets, "_frontier_order", frontier_order)
+    monkeypatch.setattr(facets, "MAX_FRONTIER_STATES", 50)
+    assert main(["count", "--edges", str(f)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    adj, order = orders[-1]
+    # the order's width: placed vertices with a neighbor still to come
+    width = max(
+        sum(any(u not in order[:i + 1] for u in adj[v]) for v in order[:i + 1]) for i in range(len(order))
+    )
+    assert captured.err == f"sepfacets: frontier count of a 32-vertex core at order width {width} passed 50 states\n"
+    monkeypatch.undo()
+    assert main(["count", "--edges", str(f)]) == 0
+
+
 def test_formula_commands(capsys):
     assert main(["formula", "windmill", "7", "3"]) == 0
     assert capsys.readouterr().out.strip() == "216"
@@ -98,6 +128,12 @@ def test_tree_below_one_vertex_is_refused_by_both_commands(capsys, n):
     for argv in (["formula", "tree", n], ["count", "--family", "tree", n]):
         assert main(argv) == 1
         assert capsys.readouterr().err == f"sepfacets: tree needs >= 1 vertex, got {n}\n"
+
+
+def test_tree_of_one_vertex_counts_one_in_both_commands(capsys):
+    for argv in (["formula", "tree", "1"], ["count", "--family", "tree", "1"]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "1\n"
 
 
 def test_usage_error_exit_code():
@@ -128,7 +164,9 @@ def test_verify_guard_exit_code(capsys):
 
 
 def test_verify_missing_n(capsys):
-    assert main(["verify", "nn1"]) == 1
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "nn1"])
+    assert e.value.code == 1
 
 
 def test_counterexample_maps_to_exit_two(monkeypatch, capsys):
@@ -147,7 +185,7 @@ def test_counterexample_maps_to_exit_two(monkeypatch, capsys):
     "argv, flag",
     [
         (["verify", "disjoint", "--n", "5", "--max-n", "3"], "--max-n"),
-        (["verify", "mixed-cb", "--bound-only", "--max-n", "5"], "max_n"),
+        (["verify", "cb-bound", "--max-n", "5"], "max_n"),
         # no connected graph has 3 vertices and 4 edges
         pytest.param(["verify", "nn1", "--n", "3"], "n=3, e=4", id="nn1-level-without-graphs"),
         # windmill classes exist only at odd n; refused before any sweep
@@ -170,18 +208,68 @@ def _no_sweep(k):
     "argv",
     [
         ["verify", "identities", "--n", "5"],
-        ["verify", "mixed-cb", "--bound-only", "--n", "50", "--max-n", "60"],
+        ["verify", "cb-bound", "--n", "50", "--max-n", "60"],
     ],
     ids=["identities", "mixed-cb-bound-only"],
 )
 def test_verify_modes_without_n_refuse_it(monkeypatch, capsys, argv):
-    # these sweeps read only --max-n, so an --n would be silently ignored
+    # these sweeps read only --max-n, so their parsers refuse an --n
     for name in ("check_identities", "check_cb_maximizer_bound"):
         monkeypatch.setattr(conjectures, name, _no_sweep)
-    assert main(argv) == 1
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and "--n" in captured.err
+
+
+# the options each verify check reads, and a valid argv for it; every other
+# option of the old shared bag must be refused, not ignored
+_PER_N = ("nnmax", "disjoint", "fbounds", "f-leq-m", "mixed-cb", "nn1")
+_READS = {
+    **{check: ({"--n", "--max-n"}, ["--n", "5"]) for check in _PER_N},
+    "windmill": ({"--n", "--max-n", "--samples", "--seed"}, ["--n", "5"]),
+    "cb-bound": ({"--max-n"}, ["--max-n", "60"]),
+    "identities": ({"--max-n"}, ["--max-n", "300"]),
+}
+_OPTIONS = {"--n": ["5"], "--max-n": ["7"], "--bound-only": [], "--samples": ["3"], "--seed": ["1"]}
+
+
+def test_the_option_table_covers_every_verify_check():
+    from sepfacets import cli
+
+    assert set(_READS) == set(cli.PER_N) | {"cb-bound", "identities"}
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        pytest.param(["verify", check, *base, option, *_OPTIONS[option]], option, id=f"{check}{option}")
+        for check, (reads, base) in _READS.items()
+        for option in _OPTIONS
+        if option not in reads
+    ]
+    + [
+        pytest.param(
+            ["sample", "--n", "5", "--edges", "6", "--samples", "1", "--seed", "1", "--out", os.devnull,
+             "--format", "jsonl", "--mode", "histogram"],
+            "--mode",
+            id="sample--mode",
+        )
+    ],
+)
+def test_no_command_accepts_an_option_it_does_not_read(monkeypatch, capsys, argv, option):
+    for name in dir(conjectures):
+        if name.startswith("check_"):
+            monkeypatch.setattr(conjectures, name, _no_sweep)
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "error" in captured.err and option in captured.err
 
 
 def test_verify_identities(capsys):
@@ -191,7 +279,7 @@ def test_verify_identities(capsys):
 
 
 def test_verify_mixed_cb_bound_only(capsys):
-    assert main(["verify", "mixed-cb", "--bound-only", "--max-n", "60"]) == 0
+    assert main(["verify", "cb-bound", "--max-n", "60"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["params"]["mode"] == "bound-only"
 
@@ -231,10 +319,10 @@ def test_sample_memory_does_not_grow_with_samples(tmp_path):
     # each record is written as it arrives, so 4x the records may not cost
     # 4x the memory; holding them all took about 7 MB more at 20k than 5k
     peaks = []
-    for fmt, mode, lines in (("csv", "scatter", 20002), ("csv", "histogram", 3), ("jsonl", "scatter", 20001)):
+    for fmt, lines in (("scatter", 20002), ("histogram", 3), ("jsonl", 20001)):
         for samples in (5000, 20000):
             argv = ["sample", "--n", "2", "--edges", "1", "--samples", str(samples), "--seed", "1",
-                    "--format", fmt, "--mode", mode, "--deterministic", "--out", str(tmp_path / "s")]
+                    "--format", fmt, "--deterministic", "--out", str(tmp_path / "s")]
             tracemalloc.start()
             try:
                 assert main(argv) == 0
@@ -242,7 +330,7 @@ def test_sample_memory_does_not_grow_with_samples(tmp_path):
             finally:
                 tracemalloc.stop()
         assert len((tmp_path / "s").read_text().splitlines()) == lines
-        assert peaks[-1] - peaks[-2] < 1 << 20, (fmt, mode, peaks[-2:])
+        assert peaks[-1] - peaks[-2] < 1 << 20, (fmt, peaks[-2:])
 
 
 def test_chain_without_edges_is_refused(tmp_path, capsys):
@@ -331,7 +419,7 @@ def test_counts_print_past_the_str_digit_limit(capsys):
     assert len(out) == 4516 > sys.get_int_max_str_digits()
     assert int(Decimal(out)) == 1 << 14999
     assert captured.err == ""
-    assert main(["verify", "mixed-cb", "--bound-only", "--max-n", "15000"]) == 0
+    assert main(["verify", "cb-bound", "--max-n", "15000"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["status"] == "verified"
     assert len(rep["max"]) > 4300
@@ -349,7 +437,7 @@ def test_long_digit_strings_are_still_refused_as_input(capsys):
     "argv, table",
     [
         (["verify", "identities", "--max-n", "1000000000"], "_central_binomials"),
-        (["verify", "mixed-cb", "--bound-only", "--max-n", "2000000000"], "_central_binomials"),
+        (["verify", "cb-bound", "--max-n", "2000000000"], "_central_binomials"),
         (["verify", "nnmax", "--n", "1000000"], "cycle_with_tail_count"),
         (["verify", "mixed-cb", "--n", "1000000"], "_central_binomials"),
         (["verify", "f-leq-m", "--n", "1000000"], "_central_binomials"),

@@ -34,6 +34,7 @@ from sepfacets.formulas import (
     cycle_count,
     parallel_paths_count,
     theta_count,
+    tree_count,
     windmill_count,
 )
 from sepfacets.graph import (
@@ -149,11 +150,20 @@ def test_disconnected_input_rejected():
     with pytest.raises(ValueError):
         facet_count(Graph(2, ()))
     with pytest.raises(ValueError):
-        facet_count(Graph(1, ()))
+        facet_count(Graph(0, ()))
     with pytest.raises(ValueError):
         facet_subgraphs(Graph(4, ((0, 1), (2, 3))))
     with pytest.raises(ValueError):
         facet_count_via_subgraphs(Graph(4, ((0, 1), (2, 3))))
+
+
+def test_one_vertex_has_one_facet():
+    # the empty edge set spans and connects one vertex: one labeling, 2^0,
+    # as tree_count(1) says
+    g = Graph(1, ())
+    assert facet_count(g) == facet_count_via_subgraphs(g) == tree_count(1) == 1
+    assert facet_functions(g) == [(0,)]
+    assert facet_subgraphs(g) == [()]
 
 
 # each passes the edge-count guard (m >= n - 1), and each part folds to a

@@ -63,7 +63,7 @@ VERIFY = [
     "windmill --n 5 --max-n 7", "windmill --n 5", "windmill --n 7",
     "windmill --n 9 --samples 20 --seed 7", "disjoint --n 5 --max-n 12",
     "fbounds --n 4 --max-n 30", "f-leq-m --n 4 --max-n 30", "mixed-cb --n 10 --max-n 30",
-    "mixed-cb --bound-only --max-n 500", "identities --max-n 300",
+    "cb-bound --max-n 500", "identities --max-n 300",
     "windmill --n 21 --samples 40 --seed 7", "nnmax --n 8", "nn1 --n 8",
     "windmill --n 31 --samples 8 --seed 7",
 ]

@@ -2,12 +2,14 @@
 
 import ast
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
 
 import sepfacets
+from sepfacets import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sepfacets"
 
@@ -67,3 +69,16 @@ def test_package_import_loads_no_heavy_stdlib_modules():
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_readme_command_lines_parse():
+    # every command in README's command-line block goes through the real
+    # parser (and only the parser), so the docs cannot spell an option the
+    # CLI refuses
+    readme = (SRC.parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert len(commands) >= 10 and all(argv[0] == "sepfacets" for argv in commands)
+    for argv in commands:
+        cli._build_parser().parse_args(argv[1:])
