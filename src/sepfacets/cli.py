@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import conjectures
@@ -120,12 +121,20 @@ PER_N = {
 }
 
 
+def _timed(check, *args) -> conjectures.ConjectureReport:
+    """check(*args), with its wall time stamped in elapsed_ms."""
+    t0 = time.perf_counter()
+    rep = check(*args)
+    rep.elapsed_ms = int((time.perf_counter() - t0) * 1000)
+    return rep
+
+
 def _run_verify(args) -> int:
     guard = _effective_guard()
     if args.check == "cb-bound":
-        reports = [conjectures.check_cb_maximizer_bound(args.max_n)]
+        reports = [_timed(conjectures.check_cb_maximizer_bound, args.max_n)]
     elif args.check == "identities":
-        reports = [conjectures.check_identities(args.max_n)]
+        reports = [_timed(conjectures.check_identities, args.max_n)]
     else:
         last = args.n if args.max_n is None else args.max_n
         if last < args.n:
@@ -133,7 +142,7 @@ def _run_verify(args) -> int:
         # windmill classes exist only at odd n, so an odd --n walks n, n+2,
         # ... and an even --n fails on its first check
         step = 2 if args.check == "windmill" else 1
-        reports = [PER_N[args.check](n, args, guard) for n in range(args.n, last + 1, step)]
+        reports = [_timed(PER_N[args.check], n, args, guard) for n in range(args.n, last + 1, step)]
     for rep in reports:
         print(json.dumps(rep.to_json(), sort_keys=True))
     return 2 if any(r.status == "counterexample" for r in reports) else 0

@@ -11,7 +11,6 @@ with a reproducible witness.
 
 from __future__ import annotations
 
-import time
 from itertools import compress, repeat
 from operator import le
 
@@ -45,7 +44,8 @@ class ConjectureReport(Fields):
 
     status is "verified", "counterexample", or "partial" (sampling-based
     evidence only).  A counterexample always carries a witness that
-    reproduces it: a serialized graph or a parameter tuple.
+    reproduces it: a serialized graph or a parameter tuple.  elapsed_ms
+    stays 0 unless the command line stamps the check's wall time.
     """
 
     __slots__ = ("id", "params", "status", "max", "witnesses", "elapsed_ms")
@@ -58,11 +58,6 @@ class ConjectureReport(Fields):
     def to_json(self) -> dict:
         from copy import deepcopy  # only output needs it; start-up would pay for it
         return {name: deepcopy(getattr(self, name)) for name in self.__slots__}
-
-
-def _finish(report: ConjectureReport, t0: float) -> ConjectureReport:
-    report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    return report
 
 
 def _refuse_table(what: str, bits: int) -> None:
@@ -169,7 +164,6 @@ def check_nn_max(n: int, guard: int = DEFAULT_GUARD) -> ConjectureReport:
     Exhaustive over isomorphism classes for n <= guard; via the closed-form
     chain N(C(n, 2k)) < N(C(n, 2k-1)) < N(C(n, 2k+1)) for larger n.
     """
-    t0 = time.perf_counter()
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     if n > guard:
@@ -204,7 +198,7 @@ def check_nn_max(n: int, guard: int = DEFAULT_GUARD) -> ConjectureReport:
         rep.params["mode"] = "formula"
         if rep.status == "verified":
             rep.witnesses = [f"C({n},{best_m})"]
-    return _finish(rep, t0)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +208,6 @@ def check_nn_max(n: int, guard: int = DEFAULT_GUARD) -> ConjectureReport:
 def check_disjoint_cycle_bound(n: int) -> ConjectureReport:
     """Every two-edge-disjoint-cycle graph on n vertices and n+1 edges has
     at most double_cycle_max(n) facets; sweeps all cycle-length pairs."""
-    t0 = time.perf_counter()
     if n < 5:
         raise ValueError(f"need n >= 5 for two disjoint cycles, got {n}")
     bound = double_cycle_max(n)
@@ -227,13 +220,12 @@ def check_disjoint_cycle_bound(n: int) -> ConjectureReport:
         rep.witnesses = [label(arg)]
         rep.params["argmax"] = list(arg)
         rep.params["bound"] = decimal(bound)
-    return _finish(rep, t0)
+    return rep
 
 
 def check_nn1_exhaustive(n: int, guard: int = DEFAULT_GUARD) -> ConjectureReport:
     """Exhaustively verify that no connected (n, n+1)-graph beats
     double_cycle_max(n), and that some class attains it."""
-    t0 = time.perf_counter()
     if n > guard:
         raise GuardExceeded(f"exhaustive sweep at n={n} exceeds the guard ({guard})")
     bound = double_cycle_max(n)
@@ -241,7 +233,7 @@ def check_nn1_exhaustive(n: int, guard: int = DEFAULT_GUARD) -> ConjectureReport
     mx, _ = _exhaustive_max(rep, n, n + 1)
     if mx != bound:
         rep.status = "counterexample" if mx > bound else "partial"
-    return _finish(rep, t0)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +244,6 @@ def check_f_bounds(n: int) -> ConjectureReport:
     """The same-parity triple count is maximized at (n-1, 1, 1) for even n
     and (n-3, 2, 2) for odd n, and moving 2 from a smaller entry to the
     largest never decreases it."""
-    t0 = time.perf_counter()
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     # about (n+1)^2/48 counts of up to n + 1 bits each; the sweep holds two
@@ -285,12 +276,11 @@ def check_f_bounds(n: int) -> ConjectureReport:
     else:
         rep.witnesses = [str(expected_arg)]
         rep.params["triples"] = triples
-    return _finish(rep, t0)
+    return rep
 
 
 def check_general_f_leq_m(n: int) -> ConjectureReport:
     """Every same-parity triple summing to n+1 satisfies F <= double_cycle_max(n)."""
-    t0 = time.perf_counter()
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     seed = (n - 1, 1, 1) if n % 2 == 0 else (n - 3, 2, 2)
@@ -300,7 +290,7 @@ def check_general_f_leq_m(n: int) -> ConjectureReport:
     found = _bounded_max(rep, survivors, same_parity_count, bound, str, seed)
     if found is not None:
         rep.params["triples"] = found[2]
-    return _finish(rep, t0)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +313,6 @@ def check_mixed_cb(n: int) -> ConjectureReport:
     conjectured triple.  That triple is evaluated first; a triple whose
     path_run_ceilings ceiling is below min(that count, M(n) + 1) is
     skipped."""
-    t0 = time.perf_counter()
     if n < 10:
         raise ValueError(f"need n >= 10, got {n}")
     expected_arg = conjectured_cb_maximizer(n)
@@ -337,7 +326,7 @@ def check_mixed_cb(n: int) -> ConjectureReport:
         rep.params["conjectured"] = list(expected_arg)
         if expected_arg not in args:
             rep.status = "counterexample"
-    return _finish(rep, t0)
+    return rep
 
 
 def check_cb_maximizer_bound(max_n: int) -> ConjectureReport:
@@ -349,7 +338,6 @@ def check_cb_maximizer_bound(max_n: int) -> ConjectureReport:
     and at max_n they are checked against parallel_paths_count and
     double_cycle_max, which share no code with the table.
     """
-    t0 = time.perf_counter()
     if max_n < 10:
         raise ValueError(f"need max_n >= start (10), got {max_n}")
     rep = ConjectureReport(
@@ -368,9 +356,9 @@ def check_cb_maximizer_bound(max_n: int) -> ConjectureReport:
             rep.status = "counterexample"
             rep.max = decimal(v)
             rep.witnesses = [f"n={n} {conjectured_cb_maximizer(n)}"]
-            return _finish(rep, t0)
+            return rep
     rep.max = decimal(parallel_paths_count(conjectured_cb_maximizer(max_n)))
-    return _finish(rep, t0)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +381,6 @@ def check_windmill(
     the full windmill samples the space and checks the bound, giving
     "partial" (sampling) evidence rather than a verification.
     """
-    t0 = time.perf_counter()
     if n % 2 == 0 or n < 3:
         raise ValueError(f"windmill check needs odd n >= 3, got {n}")
     r = (n - 1) // 2
@@ -415,14 +402,14 @@ def check_windmill(
                 rep.status = "counterexample"
                 rep.max = decimal(record.count)
                 rep.witnesses = [serialize_graph(record.graph)]
-                return _finish(rep, t0)
+                return rep
             best = max(best, record.count)
         rep.status = "partial"
         rep.params["mode"] = "sampled"
         rep.params["samples"] = samples
         rep.params["seed"] = seed
         rep.params["sample_max"] = decimal(best)
-    return _finish(rep, t0)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +487,8 @@ def check_identities(k_max: int = 10000) -> ConjectureReport:
 
     Everything is verified over big integers; no division is performed.
     """
-    t0 = time.perf_counter()
-    if k_max < 1:
-        raise ValueError(f"need k_max >= 1, got {k_max}")
+    if k_max < 3:  # the doubling law starts at n = 3
+        raise ValueError(f"need k_max >= 3, got {k_max}")
     _refuse_table(f"identities to k_max={k_max}", (k_max + 2) ** 2 // 2)
     rep = ConjectureReport("identities", {"k_max": k_max}, "verified", "0")
     c = _central_binomials(k_max + 2)
@@ -517,7 +503,7 @@ def check_identities(k_max: int = 10000) -> ConjectureReport:
     def fail(msg: str) -> ConjectureReport:
         rep.status = "counterexample"
         rep.witnesses = [msg]
-        return _finish(rep, t0)
+        return rep
 
     for k in range(2, k_max + 1):
         if k % 2 == 0:
@@ -554,4 +540,4 @@ def check_identities(k_max: int = 10000) -> ConjectureReport:
 
     rep.max = decimal(m_any(k_max))
     rep.params["doubling_n_max"] = k_max
-    return _finish(rep, t0)
+    return rep

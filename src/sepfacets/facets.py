@@ -10,16 +10,16 @@ search code and must always agree (on graphs that fold completely,
 facet_count reduces to the closed forms' binomials, so there the second
 path is the independent check):
 
-* :func:`facet_count` counts the labelings without listing them.  It
-  first folds away every vertex of degree <= 2: leaves, chains and
-  parallel gadgets become factors and weighted edges, whose weights count
-  the labelings of the vertices inside them (chains by binomials, as the
-  closed forms do).  A frontier dynamic program over a greedy vertex order
-  then counts the weighted core that is left.  A state is the labels of
-  the frontier (placed vertices with unplaced neighbors), shifted to
-  minimum 0, together with the partition of the frontier into
-  unit-difference components; its work grows with the frontier width of
-  the core, not with the number of facets.
+* :func:`facet_count` counts the labelings without listing them, in
+  three steps.  :func:`_fold` folds away every vertex of degree <= 2:
+  leaves, chains and parallel gadgets become factors and weighted edges,
+  whose weights count the labelings of the vertices inside them (chains
+  by binomials, as the closed forms do).  :func:`_frontier_order` orders
+  the weighted core that is left, and :func:`_core_count` counts it by a
+  frontier dynamic program.  A state is the labels of the frontier
+  (placed vertices with unplaced neighbors), shifted to minimum 0, with
+  the partition of the frontier into unit-difference components; its
+  work grows with the frontier width of the core, not the facet count.
 
 * :func:`facet_functions` lists the labelings by its own depth-first walk
   along a breadth-first vertex order rooted at vertex 0.  A branch carries
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from itertools import accumulate
 from operator import add, mul
 
 from .formulas import _binom_slice, cycle_count
@@ -130,17 +129,6 @@ def facet_functions(g: Graph) -> list[tuple[int, ...]]:
     if any(max(f) > g.n - 1 for f in out):
         raise RuntimeError("facet labeling spans more than n - 1; the walk is broken")
     return out
-
-
-def _order_width(adj: list[list[int]], order: list[int]) -> int:
-    """Most vertices on the frontier at once along order: placed, with a
-    neighbor still to come."""
-    pos = {v: i for i, v in enumerate(order)}
-    steps = [0] * len(order)
-    for v, i in pos.items():  # on from i until its last neighbor is placed
-        steps[i] += 1
-        steps[max(i, *[pos[u] for u in adj[v]])] -= 1
-    return max(accumulate(steps))
 
 
 def _frontier_order(adj: list[list[int]]) -> list[int]:
@@ -302,51 +290,44 @@ def _fold(g: Graph) -> tuple[int, list]:
     return factor << shift, nb
 
 
-def facet_count(g: Graph) -> int:
-    """Number of facets of the symmetric edge polytope of g (exact).
-
-    :func:`_fold` removes every vertex of degree <= 2 into weighted edges
-    and a factor.  If more than one vertex is left, the frontier DP counts
-    the labelings of that core: its vertices are placed in
-    :func:`_frontier_order`, keeping per frontier state the exact number of
-    partial labelings that reach it.  A state maps the frontier positions
-    to labels shifted to minimum 0 (labelings are counted up to an additive
-    constant) and to unit-step component ids numbered by first occurrence.
-    A placed vertex takes every label whose difference d to each placed
-    neighbor has a nonzero weight on their edge, times conn[d], joining the
-    two components, or split[d], keeping them apart.  A plain edge never
-    offers both.  A component with no member left on the frontier can never
-    grow again, so the state dies unless that was the last vertex; at the
-    last vertex only the labelings that leave one component count.  A step
-    that passes MAX_FRONTIER_STATES states raises GuardExceeded.
+def _core_count(edges: list[dict], order: list[int]) -> int:
+    """Labelings of the weighted core with neighbor -> edge maps edges, up
+    to an additive constant: a frontier dynamic program along order.  A
+    plan comes first: per step, the placed neighbors' frontier positions
+    with their edges' weights (built once, as the later end is placed), the
+    positions kept, and whether the new vertex stays.  A state maps the
+    frontier positions to labels shifted to minimum 0 and to unit-step
+    component ids numbered by first occurrence, and holds the exact number
+    of partial labelings that reach it.  A placed vertex takes every label
+    whose difference d to each placed neighbor has a nonzero weight on
+    their edge, times conn[d], joining the two components, or split[d],
+    keeping them apart; a plain edge never offers both.  A component with
+    no member left on the frontier can never grow again, so the state dies
+    unless that was the last vertex, where only the labelings that leave
+    one component count.  A step that passes MAX_FRONTIER_STATES states
+    raises GuardExceeded, naming the plan's longest frontier as the width.
     """
-    if g.m < g.n - 1 or not g.n:  # fewer edges cannot connect; before any allocation
-        raise ValueError("facet counting needs a connected graph with >= 1 vertex")
-    factor, nb = _fold(g)
-    core = [v for v in range(g.n) if nb[v] is not None]
-    if len(core) == 1:
-        return factor
-    index = {v: i for i, v in enumerate(core)}
-    adj = [[index[u] for u in nb[v]] for v in core]
-    weight = [{index[u]: (_span(e), *_weights(e, _span(e))) for u, e in nb[v].items()} for v in core]
-    n = len(core)
-    order = _frontier_order(adj)  # raises if g, and so the core, is disconnected
-    remaining = [len(a) for a in adj]  # unplaced-neighbor counts
-    for u in adj[order[0]]:
+    n = len(edges)
+    remaining = [len(e) for e in edges]  # unplaced-neighbor counts
+    for u in edges[order[0]]:
         remaining[u] -= 1
     frontier = [order[0]]
     slot = [-1] * n  # frontier positions; placed neighbors of unplaced vertices stay on it
-    states = {((0,), (0,)): 1}
-    total = 0
-    for i in range(1, n):
-        v = order[i]
+    plan, width = [], 1
+    for v in order[1:]:
         for p, u in enumerate(frontier):
             slot[u] = p
-        nbs = [(slot[u], *weight[v][u]) for u in adj[v] if slot[u] >= 0]
-        for u in adj[v]:
+        nbs = [(slot[u], _span(e), *_weights(e, _span(e))) for u, e in edges[v].items() if slot[u] >= 0]
+        for u in edges[v]:
             remaining[u] -= 1
         kept = [p for p, u in enumerate(frontier) if remaining[u]]
         stays = remaining[v] > 0
+        plan.append((nbs, kept, stays))
+        frontier = [frontier[p] for p in kept] + ([v] if stays else [])
+        width = max(width, len(frontier))
+    states = {((0,), (0,)): 1}
+    total = 0
+    for i, (nbs, kept, stays) in enumerate(plan, 1):
         last = i == n - 1
         new: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         canon: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
@@ -394,10 +375,26 @@ def facet_count(g: Graph) -> int:
                         new[key] = new.get(key, 0) + w
             if len(new) > MAX_FRONTIER_STATES:  # once per source state, off the per-label path
                 raise GuardExceeded(f"frontier count of a {n}-vertex core at order width "
-                                    f"{_order_width(adj, order)} passed {MAX_FRONTIER_STATES} states")
-        frontier = [frontier[p] for p in kept] + ([v] if stays else [])
+                                    f"{width} passed {MAX_FRONTIER_STATES} states")
         states = new
-    return factor * total
+    return total
+
+
+def facet_count(g: Graph) -> int:
+    """Number of facets of the symmetric edge polytope of g (exact), in
+    three steps: :func:`_fold` turns every vertex of degree <= 2 into a
+    factor or weighted edges; :func:`_frontier_order` orders the core that
+    is left, if any, and :func:`_core_count` counts its labelings."""
+    if g.m < g.n - 1 or not g.n:  # fewer edges cannot connect; before any allocation
+        raise ValueError("facet counting needs a connected graph with >= 1 vertex")
+    factor, nb = _fold(g)
+    core = [v for v in range(g.n) if nb[v] is not None]
+    if len(core) == 1:
+        return factor
+    index = {v: i for i, v in enumerate(core)}
+    edges = [{index[u]: e for u, e in nb[v].items()} for v in core]
+    order = _frontier_order([list(e) for e in edges])  # raises if g, and so the core, is disconnected
+    return factor * _core_count(edges, order)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,8 @@ def test_counterexample_maps_to_exit_two(monkeypatch, capsys):
     [
         (["verify", "disjoint", "--n", "5", "--max-n", "3"], "--max-n"),
         (["verify", "cb-bound", "--max-n", "5"], "max_n"),
+        # the doubling law starts at n = 3
+        (["verify", "identities", "--max-n", "2"], "k_max"),
         # no connected graph has 3 vertices and 4 edges
         pytest.param(["verify", "nn1", "--n", "3"], "n=3, e=4", id="nn1-level-without-graphs"),
         # windmill classes exist only at odd n; refused before any sweep

@@ -383,9 +383,12 @@ def test_identities_small():
     rep = cj.check_identities(500)
     assert rep.status == "verified"
     assert rep.params["doubling_n_max"] == 500
-    assert cj.check_identities(1).params["doubling_n_max"] == 1
-    with pytest.raises(ValueError):
-        cj.check_identities(0)
+    # the doubling law starts at n = 3, so a smaller k_max would check nothing
+    for k_max in (0, 1, 2):
+        with pytest.raises(ValueError, match="k_max >= 3"):
+            cj.check_identities(k_max)
+    rep = cj.check_identities(3)
+    assert (rep.status, rep.max, rep.params["doubling_n_max"]) == ("verified", "6", 3)
 
 
 class _Reached(Exception):

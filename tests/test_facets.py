@@ -191,8 +191,9 @@ def test_frontier_count_uses_no_block_split_or_bfs(monkeypatch):
     def forbidden(*args):
         raise AssertionError("facet_count reached the second path's helpers")
 
-    monkeypatch.setattr(facets, "biconnected_blocks", forbidden)
-    monkeypatch.setattr(facets, "bfs_order", forbidden)
+    for name in ("biconnected_blocks", "bfs_order", "_walk_two_colourings", "_contract", "_unit_count",
+                 "_count_all_unit_labelings"):
+        monkeypatch.setattr(facets, name, forbidden)
     assert facet_count(windmill(7, 2)) == windmill_count(7, 2)
     assert facet_count(theta(3, 3)) == theta_count(3, 3)
     assert facet_count(cycle(40)) == cycle_count(40)
@@ -477,6 +478,31 @@ def test_counts_agree_on_grown_graphs(monkeypatch):
     assert set(fired) == {"chain series", "weighted series", "parallel", "chain cycle", "core"}
 
 
+def test_core_count_takes_a_kernel_straight_from_chain_lengths():
+    # K4, the one j = 3 kernel that does not fold: each edge a chain of 1..4
+    # plain edges, one of them with a parallel chain merged by _parallel;
+    # counted from that 4-vertex map, against the second path on the graph
+    # built out in full
+    from sepfacets.facets import _core_count, _parallel
+
+    rng = Random(29)
+    for _ in range(6):
+        lengths = [rng.randint(1, 4) for _ in K4]
+        doubled, extra = rng.randrange(len(K4)), rng.randint(2, 4)
+        edges: list[dict] = [{} for _ in range(4)]
+        for (u, w), length in zip(K4, lengths):
+            edges[u][w] = edges[w][u] = length
+        u, w = K4[doubled]
+        edges[u][w] = edges[w][u] = _parallel(lengths[doubled], extra)
+        built, n = [], 4
+        for (u, w), length in [*zip(K4, lengths), (K4[doubled], extra)]:
+            walk = [u, *range(n, n + length - 1), w]
+            built += zip(walk, walk[1:])
+            n += length - 1
+        count = _core_count(edges, _frontier_order([list(e) for e in edges]))
+        assert count == facet_count_via_subgraphs(Graph(n, tuple(built))), (lengths, doubled, extra)
+
+
 def test_counts_agree_on_sparse_classes():
     # with at most two independent cycles there is no K4 minor, so each
     # class folds to one vertex and only the second path searches
@@ -733,8 +759,8 @@ def test_second_path_calls_nothing_from_the_first(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the second path reached the first path's code")
 
-    for name in ("facet_count", "_fold", "_weights", "_frontier_order", "_binom_slice", "cycle_count",
-                 "_walk_facet_labelings"):
+    for name in ("facet_count", "_fold", "_weights", "_frontier_order", "_core_count", "_binom_slice",
+                 "cycle_count", "_walk_facet_labelings"):
         monkeypatch.setattr(facets, name, forbidden)
     counts = [facet_count_via_subgraphs(g) for g in graphs]
     assert counts == SAMPLED_SPARSE_COUNTS + [3096096, 2916096, 3720384, 6**15]
@@ -751,7 +777,7 @@ def test_third_path_calls_nothing_from_the_counters(monkeypatch):
         raise AssertionError("facet_functions reached a counting path's code")
 
     for name in ("_walk_two_colourings", "_contract", "_unit_count", "_count_all_unit_labelings",
-                 "_fold", "_frontier_order", "facet_count"):
+                 "_fold", "_frontier_order", "_core_count", "facet_count"):
         monkeypatch.setattr(facets, name, forbidden)
     for g in graphs:
         assert facet_functions(g) == reference_facet_labelings(g), g
