@@ -10,19 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
 from . import conjectures
-from .enumeration import DEFAULT_GUARD, GuardExceeded, connected_graphs
+from .enumeration import GuardExceeded, connected_graphs
 from .facets import facet_count
 from .formulas import FamilySpec, decimal
 from .graph import ParseError, graph_from_json, graph_to_json, parse_graph
 from .sampler import ChainConfig, figure_csv_lines, records_jsonl_lines, run_chain
-
-GUARD_ENV = "SEP_FACETS_GUARD"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,19 +37,6 @@ def _load_graph(path: str):
             raise ParseError("JSON graph is nested too deeply") from None
         return graph_from_json(obj)
     return parse_graph(text)
-
-
-def _effective_guard() -> int:
-    env = os.environ.get(GUARD_ENV)
-    if env:
-        try:
-            guard = int(env)
-        except ValueError:
-            guard = 0
-        if not 1 <= guard <= DEFAULT_GUARD:
-            raise ValueError(f"{GUARD_ENV} must be an integer from 1 to {DEFAULT_GUARD}, got {env!r}")
-        return guard
-    return DEFAULT_GUARD
 
 
 def _build_parser() -> _Parser:
@@ -95,11 +79,6 @@ def _build_parser() -> _Parser:
     s.add_argument("--out", required=True)
     s.add_argument("--format", choices=["scatter", "histogram", "jsonl"], default="scatter")
     s.add_argument("--initial", metavar="FILE", help="starting graph (edge-list or JSON)")
-    s.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="suppress the timestamp so equal seeds give byte-identical output",
-    )
 
     e = sub.add_parser("enumerate", help="list isomorphism classes")
     e.add_argument("--n", type=int, required=True)
@@ -108,16 +87,16 @@ def _build_parser() -> _Parser:
     return p
 
 
-# per-n check name -> check(n, args, guard); each looks its conjectures.check_*
-# up at call time
+# per-n check name -> check(n, args); each looks its conjectures.check_* up
+# at call time
 PER_N = {
-    "nnmax": lambda n, a, guard: conjectures.check_nn_max(n, guard=guard),
-    "disjoint": lambda n, a, guard: conjectures.check_disjoint_cycle_bound(n),
-    "fbounds": lambda n, a, guard: conjectures.check_f_bounds(n),
-    "f-leq-m": lambda n, a, guard: conjectures.check_general_f_leq_m(n),
-    "mixed-cb": lambda n, a, guard: conjectures.check_mixed_cb(n),
-    "nn1": lambda n, a, guard: conjectures.check_nn1_exhaustive(n, guard=guard),
-    "windmill": lambda n, a, guard: conjectures.check_windmill(n, guard=guard, samples=a.samples, seed=a.seed),
+    "nnmax": lambda n, a: conjectures.check_nn_max(n),
+    "disjoint": lambda n, a: conjectures.check_disjoint_cycle_bound(n),
+    "fbounds": lambda n, a: conjectures.check_f_bounds(n),
+    "f-leq-m": lambda n, a: conjectures.check_general_f_leq_m(n),
+    "mixed-cb": lambda n, a: conjectures.check_mixed_cb(n),
+    "nn1": lambda n, a: conjectures.check_nn1_exhaustive(n),
+    "windmill": lambda n, a: conjectures.check_windmill(n, samples=a.samples, seed=a.seed),
 }
 
 
@@ -130,11 +109,12 @@ def _timed(check, *args) -> conjectures.ConjectureReport:
 
 
 def _run_verify(args) -> int:
-    guard = _effective_guard()
+    """Print each report as its check finishes, so a range refused partway
+    keeps the reports it finished."""
     if args.check == "cb-bound":
-        reports = [_timed(conjectures.check_cb_maximizer_bound, args.max_n)]
+        runs = [(conjectures.check_cb_maximizer_bound, args.max_n)]
     elif args.check == "identities":
-        reports = [_timed(conjectures.check_identities, args.max_n)]
+        runs = [(conjectures.check_identities, args.max_n)]
     else:
         last = args.n if args.max_n is None else args.max_n
         if last < args.n:
@@ -142,10 +122,13 @@ def _run_verify(args) -> int:
         # windmill classes exist only at odd n, so an odd --n walks n, n+2,
         # ... and an even --n fails on its first check
         step = 2 if args.check == "windmill" else 1
-        reports = [_timed(PER_N[args.check], n, args, guard) for n in range(args.n, last + 1, step)]
-    for rep in reports:
-        print(json.dumps(rep.to_json(), sort_keys=True))
-    return 2 if any(r.status == "counterexample" for r in reports) else 0
+        runs = [(PER_N[args.check], n, args) for n in range(args.n, last + 1, step)]
+    found = False
+    for run in runs:
+        rep = _timed(*run)
+        print(json.dumps(rep.to_json(), sort_keys=True), flush=True)
+        found = found or rep.status == "counterexample"
+    return 2 if found else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -176,17 +159,14 @@ def main(argv: list[str] | None = None) -> int:
                 initial=initial,
             )
             if args.format == "jsonl":
-                lines = records_jsonl_lines(run_chain(cfg), cfg, args.deterministic)
+                lines = records_jsonl_lines(run_chain(cfg), cfg)
             else:
-                lines = figure_csv_lines(run_chain(cfg), args.format, cfg, args.deterministic)
+                lines = figure_csv_lines(run_chain(cfg), args.format, cfg)
             with open(args.out, "w") as out:  # each line goes out as its record arrives
                 out.writelines(lines)
             return 0
         if args.command == "enumerate":
-            lines = [
-                json.dumps(graph_to_json(g))
-                for g in connected_graphs(args.n, args.edges, guard=_effective_guard())
-            ]
+            lines = [json.dumps(graph_to_json(g)) for g in connected_graphs(args.n, args.edges)]
             Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""))
             return 0
     except GuardExceeded as exc:

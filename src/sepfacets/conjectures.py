@@ -118,21 +118,12 @@ def _bounded_max(rep: ConjectureReport, items, value, bound: int, label, seed=No
     return best, args, count
 
 
-def _all_triples(total: int):
-    """Ordered triples x1 >= x2 >= x3 >= 1 summing to total."""
-    for x3 in range(1, total // 3 + 1):
-        for x2 in range(x3, (total - x3) // 2 + 1):
-            x1 = total - x2 - x3
-            if x1 >= x2:
-                yield (x1, x2, x3)
-
-
 def _triple_survivors(total: int, same_parity: bool, seed):
-    """The items function of _bounded_max over _all_triples(total), or its
-    same-parity share, for this seed.  A run of path_runs whose cap is
-    below floor drops out whole; otherwise each triple whose
-    path_run_ceilings ceiling is below floor does.  The kept triples and
-    the seed come back in the order of _all_triples."""
+    """The items function of _bounded_max over the triples x1 >= x2 >= x3
+    >= 1 summing to total, or their same-parity share, for this seed.  A
+    run of path_runs whose cap is below floor drops out whole; otherwise
+    each triple whose path_run_ceilings ceiling is below floor does.  The
+    kept triples and the seed come back ordered by x3, then x2."""
     _refuse_table(f"the triple sweep at sum {total}", total * total // 2)
     c = _central_binomials(total)
 
@@ -148,30 +139,26 @@ def _triple_survivors(total: int, same_parity: bool, seed):
     return survivors
 
 
-def _same_parity_triples(total: int):
-    """The triples of _all_triples(total) whose entries share one parity."""
-    return (t for t in _all_triples(total) if t[0] % 2 == t[1] % 2 == t[2] % 2)
-
-
 # ---------------------------------------------------------------------------
 # n vertices, n edges: the unique-cycle maximizer
 # ---------------------------------------------------------------------------
 
-def check_nn_max(n: int, guard: int = DEFAULT_GUARD) -> ConjectureReport:
+def check_nn_max(n: int) -> ConjectureReport:
     """Among connected (n, n)-graphs the facet maximum is the largest odd
     cycle with a pendant path: C(n, n) for odd n, C(n, n-1) for even n.
 
-    Exhaustive over isomorphism classes for n <= guard; via the closed-form
-    chain N(C(n, 2k)) < N(C(n, 2k-1)) < N(C(n, 2k+1)) for larger n.
+    Exhaustive over isomorphism classes for n <= DEFAULT_GUARD; via the
+    closed-form chain N(C(n, 2k)) < N(C(n, 2k-1)) < N(C(n, 2k+1)) for
+    larger n.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    if n > guard:
+    if n > DEFAULT_GUARD:
         _refuse_table(f"nnmax at n={n}", n * n)
     best_m = n if n % 2 == 1 else n - 1
     expected = cycle_with_tail_count(n, best_m)
     rep = ConjectureReport("nnmax", {"n": n}, "verified", decimal(expected))
-    if n <= guard:
+    if n <= DEFAULT_GUARD:
         mx, winners = _exhaustive_max(rep, n, n)
         want = canonical_form(cycle_with_tail(n, best_m))
         if mx != expected or want not in {canonical_form(g) for g in winners}:
@@ -223,11 +210,11 @@ def check_disjoint_cycle_bound(n: int) -> ConjectureReport:
     return rep
 
 
-def check_nn1_exhaustive(n: int, guard: int = DEFAULT_GUARD) -> ConjectureReport:
+def check_nn1_exhaustive(n: int) -> ConjectureReport:
     """Exhaustively verify that no connected (n, n+1)-graph beats
     double_cycle_max(n), and that some class attains it."""
-    if n > guard:
-        raise GuardExceeded(f"exhaustive sweep at n={n} exceeds the guard ({guard})")
+    if n > DEFAULT_GUARD:
+        raise GuardExceeded(f"exhaustive sweep at n={n} exceeds the guard ({DEFAULT_GUARD})")
     bound = double_cycle_max(n)
     rep = ConjectureReport("nn1", {"n": n, "bound": decimal(bound)}, "verified", "0")
     mx, _ = _exhaustive_max(rep, n, n + 1)
@@ -253,19 +240,22 @@ def check_f_bounds(n: int) -> ConjectureReport:
     expected_arg = (n - 1, 1, 1) if n % 2 == 0 else (n - 3, 2, 2)
     # Rows of x3 come in steps of 2, so a move reads row x3 - 2 or the row
     # so far.  A failed argmax check outranks the first failed move.
-    mx, argmax, move, row, prev, row_x3 = -1, None, None, {}, {}, None
-    for triples, t in enumerate(_same_parity_triples(n + 1), 1):
-        x1, x2, x3 = t
-        if x3 != row_x3:
-            prev, row, row_x3 = row, {}, x3
-        v = row[x2] = same_parity_count(t)
-        if v > mx:
-            mx, argmax = v, t
-        if move is None and x3 >= 3:
-            if v > prev[x2]:
-                move = f"F{t} > F{(x1 + 2, x2, x3 - 2)}"
-            elif x2 - 2 >= x3 and v > row[x2 - 2]:
-                move = f"F{t} > F{(x1 + 2, x2 - 2, x3)}"
+    mx, argmax, move, row = -1, None, None, {}
+    total, triples = n + 1, 0
+    for x3 in range(2 - total % 2, total // 3 + 1, 2):
+        prev, row = row, {}
+        for x2 in range(x3, (total - x3) // 2 + 1, 2):
+            x1 = total - x2 - x3
+            t = (x1, x2, x3)
+            triples += 1
+            v = row[x2] = same_parity_count(t)
+            if v > mx:
+                mx, argmax = v, t
+            if move is None and x3 >= 3:
+                if v > prev[x2]:
+                    move = f"F{t} > F{(x1 + 2, x2, x3 - 2)}"
+                elif x2 - 2 >= x3 and v > row[x2 - 2]:
+                    move = f"F{t} > F{(x1 + 2, x2 - 2, x3)}"
     rep.max = decimal(mx)
     if same_parity_count(expected_arg) != mx:
         rep.status = "counterexample"
@@ -370,13 +360,11 @@ def _is_triangle_join(g: Graph) -> bool:
     return all(len(b) == 3 for b in blocks) and len(blocks) == (g.n - 1) // 2
 
 
-def check_windmill(
-    n: int, guard: int = DEFAULT_GUARD, samples: int = 200, seed: int = 2022
-) -> ConjectureReport:
+def check_windmill(n: int, samples: int = 200, seed: int = 2022) -> ConjectureReport:
     """For odd n and e = 3(n-1)/2 edges, no graph beats the wedge of
     (n-1)/2 triangles, whose count is 6^((n-1)/2).
 
-    Exhaustive for n <= guard (also confirming every maximizer is a
+    Exhaustive for n <= DEFAULT_GUARD (also confirming every maximizer is a
     triangle join); beyond that, a seeded edge-replacement chain started at
     the full windmill samples the space and checks the bound, giving
     "partial" (sampling) evidence rather than a verification.
@@ -387,7 +375,7 @@ def check_windmill(
     e = 3 * r
     expected = windmill_count(n, r)
     rep = ConjectureReport("windmill", {"n": n, "e": e}, "verified", decimal(expected))
-    if n <= guard:
+    if n <= DEFAULT_GUARD:
         mx, winners = _exhaustive_max(rep, n, e)
         rep.params["mode"] = "exhaustive"
         if mx != expected or not all(_is_triangle_join(g) for g in winners):

@@ -257,22 +257,7 @@ def run_chain(cfg: ChainConfig) -> Iterator[SampleRecord]:
 # figure data
 # ---------------------------------------------------------------------------
 
-def _metadata(cfg: ChainConfig, deterministic: bool) -> dict:
-    """The config's metadata plus, unless deterministic, the UTC time as
-    'generated'."""
-    meta = cfg.metadata()
-    if not deterministic:
-        import datetime  # here, not at the top: start-up would pay for it on every run
-        meta["generated"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    return meta
-
-
-def figure_csv_lines(
-    records: Iterable[SampleRecord],
-    mode: str,
-    cfg: ChainConfig,
-    deterministic: bool = False,
-) -> Iterator[str]:
+def figure_csv_lines(records: Iterable[SampleRecord], mode: str, cfg: ChainConfig) -> Iterator[str]:
     """CSV for plotting, one newline-terminated line at a time: per-sample
     scatter rows or an exact histogram.  Records are read as they arrive,
     so a scatter holds one record at a time and a histogram only its
@@ -290,11 +275,7 @@ def figure_csv_lines(
     if first is None:
         raise ValueError("no records to emit")
     records = chain((first,), records)
-    meta = _metadata(cfg, deterministic)
-    stamp = meta.pop("generated", None)
-    yield "# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n"
-    if stamp is not None:
-        yield f"# generated={stamp}\n"
+    yield "# " + " ".join(f"{k}={v}" for k, v in cfg.metadata().items()) + "\n"
     if mode == "scatter":
         yield "n,log10_facets,ref_log10\n"
         for r in records:
@@ -309,15 +290,11 @@ def figure_csv_lines(
             yield f"{count},{freq[count]}\n"
 
 
-def records_jsonl_lines(
-    records: Iterable[SampleRecord],
-    cfg: ChainConfig,
-    deterministic: bool = False,
-) -> Iterator[str]:
+def records_jsonl_lines(records: Iterable[SampleRecord], cfg: ChainConfig) -> Iterator[str]:
     """JSON-lines dump with full graph serializations, one newline-terminated
     line per record as it arrives; counts are decimal strings since they
     outgrow doubles quickly."""
-    yield json.dumps({"meta": _metadata(cfg, deterministic)}, sort_keys=True) + "\n"
+    yield json.dumps({"meta": cfg.metadata()}, sort_keys=True) + "\n"
     for r in records:
         yield json.dumps(
             {

@@ -539,14 +539,28 @@ def reference_last_element(h: Graph, new: tuple[int, int]) -> bool:
                    for x, y in h.edges)
 
 
-def figure_csv(records, mode, cfg, deterministic=False) -> str:
+def figure_csv(records, mode, cfg) -> str:
     """The whole of sampler.figure_csv_lines as one string."""
-    return "".join(figure_csv_lines(records, mode, cfg, deterministic))
+    return "".join(figure_csv_lines(records, mode, cfg))
 
 
-def records_jsonl(records, cfg, deterministic=False) -> str:
+def records_jsonl(records, cfg) -> str:
     """The whole of sampler.records_jsonl_lines as one string."""
-    return "".join(records_jsonl_lines(records, cfg, deterministic))
+    return "".join(records_jsonl_lines(records, cfg))
+
+
+def all_triples(total: int):
+    """Ordered triples x1 >= x2 >= x3 >= 1 summing to total."""
+    for x3 in range(1, total // 3 + 1):
+        for x2 in range(x3, (total - x3) // 2 + 1):
+            x1 = total - x2 - x3
+            if x1 >= x2:
+                yield (x1, x2, x3)
+
+
+def same_parity_triples(total: int):
+    """The triples of all_triples(total) whose entries share one parity."""
+    return (t for t in all_triples(total) if t[0] % 2 == t[1] % 2 == t[2] % 2)
 
 
 def reference_f_bounds(n: int) -> dict:
@@ -555,7 +569,7 @@ def reference_f_bounds(n: int) -> dict:
     conjectures.same_parity_count, so a monkeypatch there reaches both."""
     rep = {"id": "fbounds", "params": {"n": n}, "status": "verified", "max": "0", "witnesses": []}
     expected_arg = (n - 1, 1, 1) if n % 2 == 0 else (n - 3, 2, 2)
-    values = {t: conjectures.same_parity_count(t) for t in conjectures._same_parity_triples(n + 1)}
+    values = {t: conjectures.same_parity_count(t) for t in same_parity_triples(n + 1)}
     mx = max(values.values())
     rep["max"] = str(mx)
     if values.get(expected_arg) != mx:

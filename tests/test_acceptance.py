@@ -96,7 +96,7 @@ def test_c5_exhaustive_maximizers():
            "n = 8; 36/72/180 for (n, n+1) at n = 5, 6, 7"
     ):
         for n in range(3, 9):
-            rep = cj.check_nn_max(n, guard=8)
+            rep = cj.check_nn_max(n)
             assert rep.status == "verified", rep.to_json()
             best_m = n if n % 2 else n - 1
             assert rep.max == str(cycle_with_tail_count(n, best_m))
@@ -173,7 +173,7 @@ def test_c8_chain_uniformity():
 def test_c9_seed_determinism():
     with criterion(9, "equal seeds give byte-identical deterministic CSVs"):
         cfg = ChainConfig.for_samples(7, 9, 25, seed=12345, burn_in=50, thin=20)
-        a = figure_csv(list(run_chain(cfg)), "scatter", cfg, deterministic=True)
-        b = figure_csv(list(run_chain(cfg)), "scatter", cfg, deterministic=True)
+        a = figure_csv(list(run_chain(cfg)), "scatter", cfg)
+        b = figure_csv(list(run_chain(cfg)), "scatter", cfg)
         assert a == b
         assert a.encode() == b.encode()

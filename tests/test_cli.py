@@ -11,6 +11,7 @@ import pytest
 
 from sepfacets import conjectures
 from sepfacets.cli import main
+from sepfacets.enumeration import GuardExceeded
 from sepfacets.graph import serialize_graph, windmill
 
 
@@ -290,8 +291,7 @@ def test_sample_deterministic_bytes(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     base = [
         "sample", "--n", "6", "--edges", "8", "--samples", "5",
-        "--burn-in", "10", "--thin", "7", "--seed", "99",
-        "--deterministic", "--out",
+        "--burn-in", "10", "--thin", "7", "--seed", "99", "--out",
     ]
     assert main(base + [str(out1)]) == 0
     assert main(base + [str(out2)]) == 0
@@ -307,8 +307,7 @@ def test_sample_histogram_jsonl_and_initial(tmp_path):
         [
             "sample", "--n", "7", "--edges", "9", "--samples", "4",
             "--burn-in", "0", "--thin", "5", "--seed", "1",
-            "--initial", str(start), "--format", "jsonl",
-            "--deterministic", "--out", str(out),
+            "--initial", str(start), "--format", "jsonl", "--out", str(out),
         ]
     )
     assert rc == 0
@@ -324,7 +323,7 @@ def test_sample_memory_does_not_grow_with_samples(tmp_path):
     for fmt, lines in (("scatter", 20002), ("histogram", 3), ("jsonl", 20001)):
         for samples in (5000, 20000):
             argv = ["sample", "--n", "2", "--edges", "1", "--samples", str(samples), "--seed", "1",
-                    "--format", fmt, "--deterministic", "--out", str(tmp_path / "s")]
+                    "--format", fmt, "--out", str(tmp_path / "s")]
             tracemalloc.start()
             try:
                 assert main(argv) == 0
@@ -389,28 +388,37 @@ def test_enumerate_guard(tmp_path, capsys):
     assert rc == 3
 
 
-def test_guard_env_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SEP_FACETS_GUARD", "5")
+def test_guard_env_override(monkeypatch, capsys):
+    # the three exhaustive checks read the one limit, conjectures.DEFAULT_GUARD,
+    # at call time, and the environment plays no part
+    monkeypatch.setattr(conjectures, "DEFAULT_GUARD", 5)
     assert main(["verify", "nn1", "--n", "6"]) == 3
-    monkeypatch.setenv("SEP_FACETS_GUARD", "6")
-    assert main(["verify", "nn1", "--n", "6"]) == 0
+    assert "guard (5)" in capsys.readouterr().err
+    assert main(["verify", "nnmax", "--n", "6"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["mode"] == "formula"
+    assert main(["verify", "windmill", "--n", "7", "--samples", "3", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["mode"] == "sampled"
+    monkeypatch.undo()
+    monkeypatch.setenv("SEP_FACETS_GUARD", "5")
+    assert main(["verify", "windmill", "--n", "7"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["mode"] == "exhaustive"
 
 
-@pytest.mark.parametrize(
-    "value, argv",
-    [
-        ("-5", ["verify", "nnmax", "--n", "3"]),
-        ("abc", ["verify", "nnmax", "--n", "3"]),
-        ("12", ["verify", "nnmax", "--n", "12"]),
-    ],
-)
-def test_guard_env_rejects_bad_values(monkeypatch, capsys, value, argv):
-    monkeypatch.setenv("SEP_FACETS_GUARD", value)
-    assert main(argv) == 1
+def test_verify_prints_finished_reports_before_a_refusal(monkeypatch, capsys):
+    # a range refused partway still prints every report it finished, one
+    # line each, before the one-line refusal
+    real = conjectures.check_f_bounds
+
+    def refuse_past_9(n):
+        if n > 9:
+            raise GuardExceeded(f"stub refusal at n={n}")
+        return real(n)
+
+    monkeypatch.setattr(conjectures, "check_f_bounds", refuse_past_9)
+    assert main(["verify", "fbounds", "--n", "7", "--max-n", "11"]) == 3
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert "SEP_FACETS_GUARD" in captured.err
+    assert [json.loads(l)["params"]["n"] for l in captured.out.splitlines()] == [7, 8, 9]
+    assert captured.err.splitlines() == ["sepfacets: stub refusal at n=10"]
 
 
 def test_counts_print_past_the_str_digit_limit(capsys):

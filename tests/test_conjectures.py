@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from helpers import parallel_paths_bound, reference_f_bounds
+from helpers import all_triples, parallel_paths_bound, reference_f_bounds, same_parity_triples
 from sepfacets import conjectures as cj
 from sepfacets.enumeration import GuardExceeded, canonical_form
 from sepfacets.facets import facet_count
@@ -101,7 +101,7 @@ def test_f_bounds_reports_injected_violations_like_the_reference(monkeypatch):
     real = cj.same_parity_count
     kinds = set()
     for n in (12, 13, 30, 31):
-        for target in list(cj._same_parity_triples(n + 1)):
+        for target in list(same_parity_triples(n + 1)):
             for scale in (0, 10**9):
                 monkeypatch.setattr(cj, "same_parity_count",
                                     lambda t: real(t) * (scale if t == target else 1))
@@ -248,8 +248,8 @@ def test_mixed_cb_exact_evaluations_on_the_bench_band(monkeypatch):
 @pytest.mark.parametrize(
     "sweep, value, ns, triples",
     [
-        (cj.check_mixed_cb, "parallel_paths_count", range(10, 201), cj._all_triples),
-        (cj.check_general_f_leq_m, "same_parity_count", range(4, 201), cj._same_parity_triples),
+        (cj.check_mixed_cb, "parallel_paths_count", range(10, 201), all_triples),
+        (cj.check_general_f_leq_m, "same_parity_count", range(4, 201), same_parity_triples),
     ],
 )
 def test_exact_evaluations_match_the_per_triple_bound(monkeypatch, sweep, value, ns, triples):

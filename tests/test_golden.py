@@ -30,7 +30,7 @@ def test_sample_windmill_chain_jsonl(tmp_path):
         [
             "sample", "--n", "13", "--edges", "18", "--samples", "40",
             "--seed", "7", "--initial", str(start), "--format", "jsonl",
-            "--deterministic", "--out", str(out),
+            "--out", str(out),
         ]
     )
     assert rc == 0
@@ -90,7 +90,6 @@ def _transcript(prefix, commands):
         ("verify", ["verify"], VERIFY),
     ],
 )
-def test_transcript(monkeypatch, name, prefix, commands):
-    monkeypatch.delenv("SEP_FACETS_GUARD", raising=False)
+def test_transcript(name, prefix, commands):
     got = _transcript(prefix, commands)
     assert got.encode() == (GOLDEN / f"{name}.txt").read_bytes()

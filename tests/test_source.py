@@ -82,3 +82,24 @@ def test_readme_command_lines_parse():
     assert len(commands) >= 10 and all(argv[0] == "sepfacets" for argv in commands)
     for argv in commands:
         cli._build_parser().parse_args(argv[1:])
+
+
+def test_no_hidden_inputs_in_src():
+    # what a run computes and writes depends on its argv alone: no module
+    # reads the environment or the wall-clock date
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}:{name}" for name in names
+                      if name.split(".")[0] in ("datetime", "environ", "getenv", "environb", "getenvb")]
+    assert found == []
