@@ -364,8 +364,8 @@ _FAMILIES = {
 # builds (`paths` with 100000 lengths of 2 just fits).  At the cap, `count
 # --family` on a cycle, tree, windmill or short paths peaks under 100 MB,
 # long parallel paths hold O(M) weights of O(M) bits, and the slowest
-# formula (two long paths) takes about 105 s at 16 MB on a 2-core host; a
-# count has at most 1.6e5 bits.
+# formulas (three or four long paths of mixed parity) take about 50-55 s at
+# 16 MB on a 2-core host; a count has at most 1.6e5 bits.
 MAX_FAMILY_VERTICES = 100_002
 
 

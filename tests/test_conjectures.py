@@ -9,7 +9,7 @@ from helpers import all_triples, parallel_paths_bound, reference_f_bounds, same_
 from sepfacets import conjectures as cj
 from sepfacets.enumeration import GuardExceeded, canonical_form
 from sepfacets.facets import facet_count
-from sepfacets.formulas import cycle_with_tail_count, double_cycle_max, parallel_paths_count
+from sepfacets.formulas import cycle_count, cycle_with_tail_count, double_cycle_max, parallel_paths_count
 from sepfacets.graph import cycle, cycle_with_tail, parse_graph, wedge
 
 
@@ -290,6 +290,21 @@ def test_nn_max_table_cross_check_fires(monkeypatch, n):
         cj.check_nn_max(n)
 
 
+def test_nn_max_table_fault_at_the_maximizer_raises(monkeypatch):
+    # c[58] feeds the lengths 58 and 59, and 59 is the maximizer at n = 60:
+    # a table fault there must raise, never report the theorem refuted
+    real = cj._central_binomials
+
+    def patched(limit):
+        c = real(limit)
+        c[58] += 1
+        return c
+
+    monkeypatch.setattr(cj, "_central_binomials", patched)
+    with pytest.raises(AssertionError, match="at n=60, m=59"):
+        cj.check_nn_max(60)
+
+
 def test_central_table_is_shared_and_bounded():
     # every request, in any order, reads c[m] = binom(m, m//2); the caller
     # owns what it gets, and the shared table stops at CENTRAL_MAX
@@ -421,3 +436,39 @@ def test_identities_central_binomials():
 
     c = cj._central_binomials(60)
     assert all(c[m] == comb(m, m // 2) for m in range(61))
+
+
+def test_disjoint_work_cap_boundary(monkeypatch):
+    # n^3/4 bits of work admits n = 1290; one more is refused before the
+    # bound or any pair is evaluated
+    def reached(*args):
+        raise _Reached
+
+    monkeypatch.setattr(cj, "double_cycle_max", reached)
+    monkeypatch.setattr(cj, "double_cycle_count", reached)
+    with pytest.raises(_Reached):
+        cj.check_disjoint_cycle_bound(1290)
+    with pytest.raises(GuardExceeded, match="cap 64 MiB"):
+        cj.check_disjoint_cycle_bound(1291)
+
+
+@pytest.mark.parametrize(
+    "table, reference, at, fault, witness",
+    [
+        ("_cycle_count", cycle_count, 8, lambda f: f(8) + 1, "k=8: cycle ratio"),
+        ("_double_cycle_max", double_cycle_max, 8, lambda f: f(8) + 1, "k=4: M(2k) vs F(k+1,k-1,1)"),
+        ("_double_cycle_max", double_cycle_max, 10, lambda f: f(10) + 1, "k=5: M(2k) vs F(k,k,1)"),
+        ("_double_cycle_max", double_cycle_max, 7, lambda f: f(7) + 1, "k=4: M(2k-2) vs M(2k-1)"),
+        ("_double_cycle_max", double_cycle_max, 9, lambda f: f(9) + 1, "k=5: M(2k-2) vs M(2k-1)"),
+        ("_double_cycle_max", double_cycle_max, 13, lambda f: 2 * f(12), "n=12: doubling is not strict at even n"),
+    ],
+    ids=["cycle-ratio", "m-vs-f-even-k", "m-vs-f-odd-k", "m-ratio-even-k", "m-ratio-odd-k", "doubling"],
+)
+def test_identities_fire_under_a_fault_at_one_argument(monkeypatch, table, reference, at, fault, witness):
+    # the table function becomes its closed form, which calls nothing back,
+    # so a fault stays at one argument; each kind of comparison catches one
+    monkeypatch.setattr(cj, table, lambda c, m: reference(m))
+    assert cj.check_identities(20).status == "verified"
+    monkeypatch.setattr(cj, table, lambda c, m: fault(reference) if m == at else reference(m))
+    rep = cj.check_identities(20)
+    assert (rep.status, rep.witnesses) == ("counterexample", [witness])

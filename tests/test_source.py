@@ -103,3 +103,21 @@ def test_no_hidden_inputs_in_src():
             found += [f"{path.name}:{node.lineno}:{name}" for name in names
                       if name.split(".")[0] in ("datetime", "environ", "getenv", "environb", "getenvb")]
     assert found == []
+
+
+def test_every_src_import_is_used():
+    # the project runs no linter, so a deletion could leave a dead import:
+    # each name a module binds by import must be read somewhere in it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{path.name}:{node.lineno}:{name}" for name in
+                          (a.asname or a.name.split(".")[0] for a in node.names) if name not in used]
+    assert found == []
