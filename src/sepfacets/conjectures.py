@@ -12,9 +12,9 @@ with a reproducible witness.
 from __future__ import annotations
 
 from itertools import compress, repeat
-from operator import le
+from operator import attrgetter, le
 
-from .enumeration import DEFAULT_GUARD, GuardExceeded, canonical_form, connected_graphs
+from .enumeration import DEFAULT_GUARD, GuardExceeded, connected_graphs
 from .facets import facet_count
 from .formulas import (
     closed_form_count,
@@ -28,7 +28,7 @@ from .formulas import (
     same_parity_count,
     windmill_count,
 )
-from .graph import Fields, biconnected_blocks, cycle_with_tail, serialize_graph, windmill
+from .graph import Fields, biconnected_blocks, serialize_graph, windmill
 from .sampler import ChainConfig, run_chain
 
 # The formula sweeps that tabulate big integers (central binomials up to
@@ -66,26 +66,29 @@ def _refuse_table(what: str, bits: int) -> None:
         raise GuardExceeded(f"{what} would tabulate {bits >> 23} MiB of big integers (cap {cap} MiB)")
 
 
-def _exhaustive_max(rep: ConjectureReport, n: int, e: int, bound: int):
-    """Count every connected (n, e) class, cross-check each count against
-    its closed form where one applies, and record the maximum and every
-    class attaining it (the winners, also returned) on rep.  A maximum
-    above bound makes rep a counterexample, one below it partial."""
-    classes = list(connected_graphs(n, e, guard=None))
+def _exhaustive_max(rep: ConjectureReport, n: int, j: int, bound: int) -> None:
+    """The row of level (n, n - 1 + j), j independent cycles: _bounded_max
+    over every connected class, each count cross-checked against its
+    closed form where one applies.  Every winner becomes a witness.  A
+    maximum below bound, or a winner with a block that is neither a bridge
+    nor an odd cycle (as many vertices as edges), makes rep partial."""
+    classes = list(connected_graphs(n, n - 1 + j, guard=None))
     if not classes:
-        raise ValueError(f"no connected graphs with n={n}, e={e}")
-    counts = [facet_count(g) for g in classes]
-    for g, c in zip(classes, counts):
-        cf = closed_form_count(g)
-        if cf is not None and cf != c:
+        raise ValueError(f"no connected graphs with n={n}, e={n - 1 + j}")
+
+    def count(g):
+        c = facet_count(g)
+        if closed_form_count(g) not in (None, c):
             raise AssertionError(f"formula/engine disagreement on {g}")
-    mx = max(counts)
-    winners = [g for g, c in zip(classes, counts) if c == mx]
-    rep.max = decimal(mx)
-    rep.witnesses = [serialize_graph(g) for g in winners]
-    if mx != bound:
-        rep.status = "counterexample" if mx > bound else "partial"
-    return winners
+        return c
+
+    found = _bounded_max(rep, classes, count, bound, serialize_graph)
+    if found is not None:
+        best, winners, _ = found
+        rep.witnesses = [serialize_graph(g) for g in winners]
+        if best < bound or any(len(b) > 1 and (len(b) % 2 == 0 or len({*sum(b, ())}) != len(b))
+                               for g in winners for b in biconnected_blocks(g)):
+            rep.status = "partial"
 
 
 def _bounded_max(rep: ConjectureReport, items, value, bound: int, label, seed=None):
@@ -161,9 +164,7 @@ def check_nn_max(n: int) -> ConjectureReport:
     expected = cycle_with_tail_count(n, best_m)
     rep = ConjectureReport("nnmax", {"n": n}, "verified", decimal(expected))
     if n <= DEFAULT_GUARD:
-        winners = _exhaustive_max(rep, n, n, expected)
-        if canonical_form(cycle_with_tail(n, best_m)) not in {canonical_form(g) for g in winners}:
-            rep.status = "counterexample"
+        _exhaustive_max(rep, n, 1, expected)
         rep.params["mode"] = "exhaustive"
     else:
         c = _central_binomials(n)
@@ -214,7 +215,7 @@ def check_nn1_exhaustive(n: int) -> ConjectureReport:
         raise GuardExceeded(f"exhaustive sweep at n={n} exceeds the guard ({DEFAULT_GUARD})")
     bound = double_cycle_max(n)
     rep = ConjectureReport("nn1", {"n": n, "bound": decimal(bound)}, "verified", "0")
-    _exhaustive_max(rep, n, n + 1, bound)
+    _exhaustive_max(rep, n, 2, bound)
     return rep
 
 
@@ -354,10 +355,11 @@ def check_windmill(n: int, samples: int = 200, seed: int = 2022) -> ConjectureRe
     """For odd n and e = 3(n-1)/2 edges, no graph beats the wedge of
     (n-1)/2 triangles, whose count is 6^((n-1)/2).
 
-    Exhaustive for n <= DEFAULT_GUARD (also confirming every maximizer is a
-    triangle join); beyond that, a seeded edge-replacement chain started at
-    the full windmill samples the space and checks the bound, giving
-    "partial" (sampling) evidence rather than a verification.
+    Exhaustive for n <= DEFAULT_GUARD (also confirming every maximizer's
+    blocks are odd cycles and bridges, which at this level means triangles);
+    beyond that, a seeded edge-replacement chain started at the full
+    windmill samples the space and checks the bound, giving "partial"
+    (sampling) evidence rather than a verification.
     """
     if n % 2 == 0 or n < 3:
         raise ValueError(f"windmill check needs odd n >= 3, got {n}")
@@ -366,27 +368,14 @@ def check_windmill(n: int, samples: int = 200, seed: int = 2022) -> ConjectureRe
     expected = windmill_count(n, r)
     rep = ConjectureReport("windmill", {"n": n, "e": e}, "verified", decimal(expected))
     if n <= DEFAULT_GUARD:
-        winners = _exhaustive_max(rep, n, e, expected)
+        _exhaustive_max(rep, n, r, expected)
         rep.params["mode"] = "exhaustive"
-        if rep.status == "verified" and any(len(b) != 3 for g in winners for b in biconnected_blocks(g)):
-            rep.status = "partial"
     else:
-        cfg = ChainConfig.for_samples(
-            n, e, samples, seed=seed, burn_in=0, initial=windmill(n, r)
-        )
-        best = -1
-        for record in run_chain(cfg):
-            if record.count > expected:
-                rep.status = "counterexample"
-                rep.max = decimal(record.count)
-                rep.witnesses = [serialize_graph(record.graph)]
-                return rep
-            best = max(best, record.count)
-        rep.status = "partial"
-        rep.params["mode"] = "sampled"
-        rep.params["samples"] = samples
-        rep.params["seed"] = seed
-        rep.params["sample_max"] = decimal(best)
+        cfg = ChainConfig.for_samples(n, e, samples, seed=seed, burn_in=0, initial=windmill(n, r))
+        label = lambda record: serialize_graph(record.graph)
+        if _bounded_max(rep, run_chain(cfg), attrgetter("count"), expected, label) is not None:
+            rep.status = "partial"
+            rep.params.update(mode="sampled", samples=samples, seed=seed, sample_max=rep.max)
     return rep
 
 

@@ -589,3 +589,25 @@ def reference_f_bounds(n: int) -> dict:
                 return rep
     rep["params"]["triples"] = len(values)
     return rep
+
+
+def cactus_blocks(n: int, j: int) -> list[int]:
+    """The sorted block sizes, in edges, of the cactus conjectured to
+    maximize the facet count at (n, n - 1 + j), 1 <= j <= (n - 1) / 2: j odd
+    cycles whose values of (l - 1)/2 differ by at most 1 and spend the even
+    part of the budget n - 1, plus (n - 1) mod 2 bridges."""
+    h, longer = divmod((n - 1) // 2, j)
+    return sorted([2 * h + 3] * longer + [2 * h + 1] * (j - longer) + [1] * ((n - 1) % 2))
+
+
+def wheel(k: int) -> Graph:
+    """The wheel W_k: the cycle 0..k-1 and a hub k joined to each of its
+    vertices.  Every rim vertex has degree 3, so nothing folds."""
+    return Graph(k + 1, tuple((i, (i + 1) % k) for i in range(k)) + tuple((i, k) for i in range(k)))
+
+
+def grid(rows: int, cols: int) -> Graph:
+    """The rows x cols grid graph, vertex r * cols + c at row r, column c."""
+    at = lambda r, c: r * cols + c
+    return Graph(rows * cols, tuple((at(r, c), at(r, c + 1)) for r in range(rows) for c in range(cols - 1))
+                 + tuple((at(r, c), at(r + 1, c)) for r in range(rows - 1) for c in range(cols)))

@@ -5,12 +5,20 @@ import math
 
 import pytest
 
-from helpers import all_triples, parallel_paths_bound, reference_f_bounds, same_parity_triples
+from helpers import (
+    all_triples,
+    cactus_blocks,
+    parallel_paths_bound,
+    reference_blocks,
+    reference_f_bounds,
+    same_parity_triples,
+)
 from sepfacets import conjectures as cj
-from sepfacets.enumeration import GuardExceeded, canonical_form
+from sepfacets.enumeration import GuardExceeded, canonical_form, connected_graphs
 from sepfacets.facets import facet_count
 from sepfacets.formulas import cycle_count, cycle_with_tail_count, double_cycle_max, parallel_paths_count
-from sepfacets.graph import cycle, cycle_with_tail, parse_graph, wedge
+from sepfacets.graph import cycle, cycle_with_tail, parse_graph, serialize_graph, wedge, windmill
+from sepfacets.sampler import SampleRecord
 
 
 def _roundtrips(report):
@@ -472,3 +480,70 @@ def test_identities_fire_under_a_fault_at_one_argument(monkeypatch, table, refer
     monkeypatch.setattr(cj, table, lambda c, m: fault(reference) if m == at else reference(m))
     rep = cj.check_identities(20)
     assert (rep.status, rep.witnesses) == ("counterexample", [witness])
+
+
+def test_nn_max_without_its_maximizer_is_partial(monkeypatch):
+    # C(6, 5) filtered out of level (6, 6): the maximum falls below the
+    # theorem's value, which leaves the theorem unshown, not refuted
+    missing = canonical_form(cycle_with_tail(6, 5))
+    level = cj.connected_graphs
+    monkeypatch.setattr(cj, "connected_graphs", lambda n, e, guard: [
+        g for g in level(n, e, guard=guard) if canonical_form(g) != missing])
+    rep = cj.check_nn_max(6)
+    assert rep.status == "partial"
+    assert int(rep.max) < 60 == cycle_with_tail_count(6, 5)
+
+
+@pytest.mark.parametrize(
+    "block, status",
+    [
+        (((0, 1), (0, 3), (1, 2), (2, 3)), "partial"),  # an even cycle
+        (((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)), "partial"),  # odd, but 4 vertices to 5 edges
+        (((0, 1), (0, 4), (1, 2), (2, 3), (3, 4)), "verified"),  # an odd cycle
+    ],
+    ids=["c4", "diamond", "c5"],
+)
+def test_exhaustive_rows_require_odd_cycles_and_bridges(monkeypatch, block, status):
+    # every winner's blocks are read through the module, so one fake block
+    # stands for each winner's decomposition
+    monkeypatch.setattr(cj, "biconnected_blocks", lambda g: [block, ((4, 5),)])
+    assert cj.check_nn_max(6).status == status
+    assert cj.check_nn1_exhaustive(6).status == status
+    assert cj.check_windmill(7).status == status
+
+
+def test_nn1_counterexample_names_the_first_class_above_the_bound(monkeypatch):
+    monkeypatch.setattr(cj, "double_cycle_max", lambda n: 71)
+    rep = cj.check_nn1_exhaustive(6)
+    first = next(g for g in connected_graphs(6, 7) if facet_count(g) == 72)
+    assert (rep.status, rep.max) == ("counterexample", "72")
+    assert rep.witnesses == [serialize_graph(first)]
+
+
+def test_sampled_windmill_decides_through_the_bounded_kernel(monkeypatch):
+    start, above = windmill(9, 4), cycle_with_tail(9, 7)
+    records = [SampleRecord(0, 1296, start), SampleRecord(1, 1297, above), SampleRecord(2, 1298, start)]
+    monkeypatch.setattr(cj, "run_chain", lambda cfg: iter(records))
+    rep = cj.check_windmill(9, samples=2, seed=7)
+    assert (rep.status, rep.max, rep.witnesses) == ("counterexample", "1297", [serialize_graph(above)])
+    assert "mode" not in rep.params
+    records[:] = [SampleRecord(0, 1000, start), SampleRecord(1, 1200, above)]
+    rep = cj.check_windmill(9, samples=1, seed=7)
+    assert (rep.status, rep.max, rep.witnesses) == ("partial", "1200", [])
+    assert rep.params == {"n": 9, "e": 12, "mode": "sampled", "samples": 1, "seed": 7, "sample_max": "1200"}
+
+
+@pytest.mark.parametrize(
+    "n, j", [(n, j) for n in range(3, 10) for j in range(1, (n - 1) // 2 + 1)]
+)
+def test_every_row_maximum_is_the_odd_cycle_cactus(n, j):
+    # ROADMAP item 1's claim on every level (n, n - 1 + j) with n <= 9, the
+    # bound read off the cactus and every winner's blocks found by the
+    # reference split; (8, 10) and (9, 11) are covered by no check
+    sizes = cactus_blocks(n, j)
+    bound = math.prod(cycle_count(size) if size > 1 else 2 for size in sizes)
+    rep = cj.ConjectureReport("row", {}, "verified", "0")
+    cj._exhaustive_max(rep, n, j, bound)
+    assert (rep.status, rep.max) == ("verified", str(bound))
+    for w in rep.witnesses:
+        assert sorted(map(len, reference_blocks(parse_graph(w)))) == sizes, w

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     facet_subgraphs,
+    grid,
     is_bipartite,
     neighbor_masks,
     random_connected_graph,
@@ -17,6 +18,7 @@ from helpers import (
     reference_frontier_order,
     reference_unit_count,
     relabel,
+    wheel,
 )
 from sepfacets.enumeration import connected_graphs
 from sepfacets.facets import (
@@ -501,6 +503,31 @@ def test_core_count_takes_a_kernel_straight_from_chain_lengths():
             n += length - 1
         count = _core_count(edges, _frontier_order([list(e) for e in edges]))
         assert count == facet_count_via_subgraphs(Graph(n, tuple(built))), (lengths, doubled, extra)
+
+
+@pytest.mark.parametrize(
+    "family, first, coefficients, small, large",
+    [
+        (wheel, [14, 26, 62, 138], [2, 1, 0, -2], range(3, 16), 1000),
+        (lambda k: grid(3, k), [4, 18], [5, -2], range(1, 10), 1000),
+    ],
+    ids=["wheel", "grid-3xk"],
+)
+def test_core_counter_continues_the_family_recurrence(family, first, coefficients, small, large):
+    """Wheels (a hub on a k-cycle) never fold, so the core counter alone
+    counts them; 3 x k grids fold only at their corners.  Each family
+    follows a linear recurrence a_k = sum_i coefficients[i] * a_{k-1-i}:
+    it is confirmed on second-path counts for the small k, then required
+    of facet_count at k = large.  This is evidence, not proof: no bound on
+    the transfer states fixes the recurrence's order in advance, so it
+    holds only as far as the small terms show."""
+    counts = [facet_count_via_subgraphs(family(k)) for k in small]
+    assert counts[:len(first)] == first
+    terms = first[:]
+    while len(terms) < large - small.start + 1:
+        terms.append(sum(c * t for c, t in zip(coefficients, reversed(terms[-len(coefficients):]))))
+    assert counts == terms[:len(counts)]
+    assert facet_count(family(large)) == terms[-1]
 
 
 def test_counts_agree_on_sparse_classes():

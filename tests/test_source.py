@@ -121,3 +121,22 @@ def test_every_src_import_is_used():
                 found += [f"{path.name}:{node.lineno}:{name}" for name in
                           (a.asname or a.name.split(".")[0] for a in node.names) if name not in used]
     assert found == []
+
+
+def test_every_private_src_definition_is_used():
+    # a private top-level function or class serves only src, so once a
+    # deletion leaves it unreferenced by any module it is dead code
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    found = [f"{name}:{node.lineno}:{node.name}" for name, tree in trees.items() for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+             and node.name not in used]
+    assert found == []
