@@ -130,10 +130,11 @@ def _same_parity(lengths) -> int:
     parity, in any order."""
     if len(lengths) == 2:  # Vandermonde: two paths close one (a + b)-cycle
         return math.comb(sum(lengths), sum(lengths) // 2)
-    mt = min(lengths)
+    mt, rows = min(lengths), _PASCAL
     terms = None
     for i, mk in enumerate(lengths, 1):
-        row = _binom_slice(mk, (mk - mt) // 2, mt + 1)
+        start = (mk - mt) // 2  # a row the table holds is sliced straight from it
+        row = rows[mk][start:start + mt + 1] if mk < len(rows) else _binom_slice(mk, start, mt + 1)
         terms = row if terms is None else map(mul, terms, row)
         if i % 1024 == 0:  # sum() recurses through the lazy products; a
             terms = list(terms)  # chain of about 65000 overflows the C stack
@@ -184,16 +185,16 @@ def path_runs(c: list[int], total: int, same_parity: bool):
     path_run_ceilings).  c[m+2]*(ceil(m/2) + 1) = c[m]*(4*ceil(m/2) + 2),
     so a step (x, y) -> (x - 2, y + 2) with h = ceil(x/2), g = ceil(y/2)
     scales P by h(2g + 1)/((2h - 1)(g + 1)) and T1 = h*g*P by
-    (h - 1)(2g + 1)/(g(2h - 1)).  When x and y share a parity, a step
-    inside a run has x >= y + 4, so h >= g + 1: P never rises and T1
-    never falls.  Hence each cap reads a factor at the end where it peaks:
+    (h - 1)(2g + 1)/(g(2h - 1)).  A step inside a run has x - 2 >= y + 2,
+    so h >= g + 1: P never rises, and T1 never falls.  Hence each cap
+    reads a factor at the end where it peaks:
     - all three of one parity, ceiling 2^z*P: cap 2^z*P(0);
     - x and y of one parity, z of the other, ceiling 2^z*T1 +
       z*2^(z-1)*P: cap 2^z*T1(k-1) + z*2^(z-1)*P(0);
-    - x and y of different parities, ceiling P*(K_x*ceil(x/2) +
-      K_y*ceil(y/2)) (see path_run_ceilings): P is log-convex along the
-      run (c[m+2]/c[m] grows with m) and Q is linear in i, so cap is the
-      larger end of P times the larger end of Q."""
+    - x and y of different parities, ceiling P*Q with Q = K_x*ceil(x/2) +
+      K_y*ceil(y/2) (see path_run_ceilings), which moves by K_y - K_x a
+      step: cap P(0)*Q(k-1) when K_y > K_x (z > 2 for b = z, z < 2 for
+      b = z + 1), otherwise P(0)*Q(0)."""
     for z in range(1, total // 3 + 1):
         hi, w, one = (total - z) // 2, z << (z - 1), 1 << z
         if (total - z) % 2 == 0:  # a = total - z - b has b's parity
@@ -205,13 +206,12 @@ def path_runs(c: list[int], total: int, same_parity: bool):
             t1 = ((a + 1) // 2 - j) * ((b + 1) // 2 + j) * c[a - 2 * j] * c[b + 2 * j]
             yield a, b, z, j + 1, (t1 << z) + w * c[a] * c[b]
         elif not same_parity:  # a and b differ; the one of z's parity weighs w
-            for b, ka, kb in ((z, one, w), (z + 1, w, one)):
+            for b, ka, kb, up in ((z, one, w, z > 2), (z + 1, w, one, z < 2)):
                 if b > hi:
                     break
                 a, k = total - z - b, (hi - b) // 2 + 1
-                j, ha, hb = k - 1, (a + 1) // 2, (b + 1) // 2
-                q = max(ka * ha + kb * hb, ka * (ha - j) + kb * (hb + j))
-                yield a, b, z, k, max(c[a] * c[b], c[a - 2 * j] * c[b + 2 * j]) * q
+                j = k - 1 if up else 0  # where Q peaks: it moves by kb - ka a step
+                yield a, b, z, k, c[a] * c[b] * (ka * ((a + 1) // 2 - j) + kb * ((b + 1) // 2 + j))
 
 
 def path_run_ceilings(c: list[int], a: int, b: int, z: int, k: int):
@@ -244,8 +244,9 @@ def _paths(lengths, same) -> int:
     """The parallel_paths_count dispatch, with same for the same-parity sum."""
     if len(lengths) == 1:
         return tree_count(lengths[0] + 1)
-    evens = [x for x in lengths if x % 2 == 0]
-    odds = [x for x in lengths if x % 2 == 1]
+    evens, odds = split = [], []
+    for x in lengths:
+        split[x % 2].append(x)
     if not evens or not odds:
         return same(lengths)
     total = math.prod(evens) * same([x - 1 for x in evens] + odds)

@@ -385,6 +385,30 @@ def parallel_paths_bound(c: list[int]):
     return lambda lengths: _paths(lengths, same)
 
 
+def reference_path_runs(c: list[int], total: int, same_parity: bool):
+    """formulas.path_runs as it first read its caps: for a run whose x and
+    y differ in parity, the larger end of c[x]*c[y] times the larger end
+    of Q.  path_runs must yield the same tuples, bit for bit."""
+    for z in range(1, total // 3 + 1):
+        hi, w, one = (total - z) // 2, z << (z - 1), 1 << z
+        if (total - z) % 2 == 0:  # a = total - z - b has b's parity
+            a, k = total - 2 * z, (hi - z) // 2 + 1
+            yield a, z, z, k, c[a] * c[z] << z
+            if same_parity or z + 1 > hi:
+                continue
+            a, b, j = a - 1, z + 1, (hi - z - 1) // 2
+            t1 = ((a + 1) // 2 - j) * ((b + 1) // 2 + j) * c[a - 2 * j] * c[b + 2 * j]
+            yield a, b, z, j + 1, (t1 << z) + w * c[a] * c[b]
+        elif not same_parity:  # a and b differ; the one of z's parity weighs w
+            for b, ka, kb in ((z, one, w), (z + 1, w, one)):
+                if b > hi:
+                    break
+                a, k = total - z - b, (hi - b) // 2 + 1
+                j, ha, hb = k - 1, (a + 1) // 2, (b + 1) // 2
+                q = max(ka * ha + kb * hb, ka * (ha - j) + kb * (hb + j))
+                yield a, b, z, k, max(c[a] * c[b], c[a - 2 * j] * c[b + 2 * j]) * q
+
+
 def reference_frontier_order(adj: list[list[int]]) -> list[int]:
     """The frontier vertex order by a full scan of every vertex for each
     placement: the key (grow, placed-neighbor count, index) of each

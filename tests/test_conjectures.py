@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -251,6 +252,29 @@ def test_mixed_cb_exact_evaluations_on_the_bench_band(monkeypatch):
     assert len(runs) == 5783 and len(passed) == 100
     digest = hashlib.sha256(repr(calls).encode()).hexdigest()
     assert digest == "0e4c7af37c74024869557738baa215172af81b2f9ff9195313bdbfba552207bd"
+
+
+@pytest.mark.parametrize(
+    "sweep, value",
+    [(cj.check_mixed_cb, "parallel_paths_count"), (cj.check_general_f_leq_m, "same_parity_count")],
+)
+def test_triple_sweeps_reach_the_traced_module_attributes(monkeypatch, sweep, value):
+    # the bench trace wraps conjectures.parallel_paths_count and
+    # conjectures.double_cycle_max and refuses a formula-sweep run in which
+    # either sees no call, so each triple sweep must look its count and its
+    # bound up on the module: the bound once per n, the count at least for
+    # the seed
+    calls = Counter()
+    for name in (value, "double_cycle_max"):
+        def traced(arg, fn=getattr(cj, name), name=name):
+            calls[name] += 1
+            return fn(arg)
+
+        monkeypatch.setattr(cj, name, traced)
+    ns = range(150, 155)
+    for n in ns:
+        sweep(n)
+    assert calls["double_cycle_max"] == len(ns) and calls[value] >= len(ns)
 
 
 @pytest.mark.parametrize(

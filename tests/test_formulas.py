@@ -9,7 +9,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import parallel_paths_bound
+from helpers import parallel_paths_bound, reference_path_runs
 from sepfacets import formulas
 from sepfacets.facets import facet_count
 from sepfacets.formulas import (
@@ -271,6 +271,35 @@ def test_run_caps_read_each_factor_at_its_peak():
             assert cap >= max(ceilings), run
             assert k > 1 or cap == ceilings[0], run
             assert cap <= _product_of_ends_cap(c, a, b, z, k), run
+
+
+def test_run_caps_match_the_reference_caps():
+    # reading P at a run's first triple and Q at the end its slope picks
+    # must leave every cap bit-identical to the larger-end products
+    c = _central(600)
+    for total in range(3, 601):
+        for same_parity in (False, True):
+            want = list(reference_path_runs(c, total, same_parity))
+            assert list(path_runs(c, total, same_parity)) == want, (total, same_parity)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_same_parity_reads_rows_from_the_table_or_the_slicer(monkeypatch, warm):
+    # a row the Pascal table holds is sliced from it and any other comes
+    # from _binom_slice, which grows the table up to PASCAL_ROWS_MAX; both
+    # sources, on lengths either side of the cap and on more than 1024
+    # lengths (the lazy product is flattened every 1024)
+    cap = formulas.PASCAL_ROWS_MAX
+    monkeypatch.setattr(formulas, "_PASCAL", [[1]])
+    if warm:
+        formulas._binom_slice(cap, 0, 1)
+    sliced, real = [], formulas._binom_slice
+    monkeypatch.setattr(formulas, "_binom_slice", lambda m, *args: sliced.append(m) or real(m, *args))
+    vectors = [(cap + 1, 3, 1), (cap - 1, cap - 1, 1), (cap, 2, 2), (cap + 3, *[5] * 1100, cap - 1, 3)]
+    for lengths in vectors:
+        assert formulas._same_parity(lengths) == _reference_f(lengths), lengths[:3]
+    assert sliced == ([cap + 1, cap + 3] if warm else [cap + 1, 3, cap - 1, cap, cap + 3])
+    assert len(formulas._PASCAL) == cap + 1
 
 
 def test_path_bound_covers_large_triples():
